@@ -13,7 +13,6 @@ from mlpicard.problem import make_problem
 from mlpicard.randomness import (
     NodeId,
     StreamKey,
-    child,
     gaussian_vector,
     golden_lines,
     uniform01,
@@ -23,8 +22,8 @@ from mlpicard.randomness import (
 def main():
     root = NodeId((4,))
     print("node-addressed draws (seed 0):")
-    for node in (root, child(root, 0, 1), child(root, 0, -1),
-                 child(root, 2, 1)):
+    for node in (root, root.child(0, 1), root.child(0, -1),
+                 root.child(2, 1)):
         key = StreamKey(seed=0, node=node, counter=0)
         z = gaussian_vector(StreamKey(seed=0, node=node, counter=1), 2)
         print(f"  node {str(node.path):>14}: u = {uniform01(key):.6f}, "

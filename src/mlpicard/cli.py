@@ -496,6 +496,9 @@ def cmd_sweep(config: RunConfig, out: Optional[str], threads: int) -> int:
     return 0
 
 
+CURVE_HEADER = ("t", "x", "value")
+
+
 def cmd_oracle(config: RunConfig, out: Optional[str], threads: int) -> int:
     prob = build_problem(config)
     path = out or "oracle.csv"
@@ -507,7 +510,7 @@ def cmd_oracle(config: RunConfig, out: Optional[str], threads: int) -> int:
         if times is None:
             times = tuple(prob.horizon * k / 4.0 for k in range(5))
         rows = [(repr(t), 0, repr(oracles.ode_solve(ode, t))) for t in times]
-        oracles.write_curve_csv(path, rows)
+        experiments.write_csv(path, CURVE_HEADER, rows)
         print(f"oracle ode: {len(rows)} rows -> {path}; "
               f"value at T {oracles.ode_solve(ode, prob.horizon)!r}")
         return 0
@@ -524,7 +527,7 @@ def cmd_oracle(config: RunConfig, out: Optional[str], threads: int) -> int:
         raise ConfigError(str(exc)) from None
     rows = [(repr(t), repr(float(xi)), repr(float(vi)))
             for xi, vi in zip(sol.x, sol.values)]
-    oracles.write_curve_csv(path, rows)
+    experiments.write_csv(path, CURVE_HEADER, rows)
     print(f"oracle fd: {len(rows)} rows -> {path}; sup|u| {sol.sup_abs!r}")
     return 0
 
@@ -541,12 +544,8 @@ def cmd_cost(config: RunConfig, out: Optional[str], threads: int) -> int:
                 if model > bound:
                     violations += 1
                 rows.append((d, n, M, model, bound))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(("d", "n", "M", "cost_model", "cost_bound"))
-        writer.writerows(rows)
+    experiments.write_csv(path, ("d", "n", "M", "cost_model", "cost_bound"),
+                          rows)
     print(f"cost: {len(rows)} rows -> {path}; bound violations: {violations}")
     return 0 if violations == 0 else 3
 

@@ -86,14 +86,6 @@ class CostTally:
     def total_draws(self) -> int:
         return self.gaussian_scalars + self.uniforms
 
-    def __add__(self, other: "CostTally") -> "CostTally":
-        return CostTally(
-            self.gaussian_scalars + other.gaussian_scalars,
-            self.uniforms + other.uniforms,
-            self.f_evals + other.f_evals,
-            self.data_evals + other.data_evals,
-        )
-
 
 @dataclass(frozen=True)
 class EstimateResult:
@@ -106,12 +98,15 @@ class EstimatorProbe:
 
     Always tracks the largest |value| handed to the truncated reaction
     (recursive intermediates, pre-clamp).  With ``record_paths`` it also
-    logs, for the first lane, every correction draw (node, k, (R, X)) and
+    logs, for root lane 0, every correction draw (node, k, (R, X)) and
     every recursive evaluation entry (node, level, (t, x) received), so
     tests can certify the sample-sharing and node-layout rules from
-    recorded evidence.  Recording unfolds the inner m-sums into loops with
-    exact per-m node paths; draws and results are unchanged, but it is
-    meant for small audit runs only.
+    recorded evidence.  Recording reads the folded arrays of the same
+    recursion that produces every value, so draws, values and tallies are
+    unchanged.  Entries arrive in breadth order across the m-siblings of
+    one correction (they share a folded call, so they are logged together
+    in m order) and depth first across k.  Recording keeps one tuple per
+    node of the tree, so it is meant for small audit runs only.
     """
 
     def __init__(self, record_paths: bool = False):
@@ -144,7 +139,6 @@ class _MutableTally:
 
 class _Engine:
     def __init__(self, problem: PdeProblem, params: MlpParams, probe=None):
-        self.problem = problem
         self.params = params
         self.probe = probe
         self.forward = problem.orientation is Orientation.FORWARD
@@ -181,20 +175,21 @@ class _Engine:
     # the recursion ------------------------------------------------------
 
     def run(self, t, x, digests, depth, tally):
+        recording = self.probe is not None and self.probe.record_paths
         return self._evaluate(
             self.params.levels, t, x, digests, depth, tally, 1,
-            path=self.params.root_node.path if self._recording() else None,
+            paths=[self.params.root_node.path] if recording else None,
         )
 
-    def _recording(self):
-        return self.probe is not None and self.probe.record_paths
-
-    def _evaluate(self, n, t, x, digests, depth, tally, mult, path=None):
-        # mult = lanes here per root lane; scales all per-lane tally counts
+    def _evaluate(self, n, t, x, digests, depth, tally, mult, paths=None):
+        # mult = lanes here per root lane; scales all per-lane tally counts.
+        # paths (recording only) names lanes 0..len(paths)-1, the lanes that
+        # descend from root lane 0: the (B, Mm) -> B*Mm folds are row-major
         B = t.shape[0]
-        if path is not None:
-            self.probe.eval_entries.append(
-                (path, n, (float(t[0]), tuple(x[0].tolist())))
+        if paths is not None:
+            self.probe.eval_entries.extend(
+                (path, n, (float(t[i]), tuple(x[i].tolist())))
+                for i, path in enumerate(paths)
             )
         if n == 0:
             return np.zeros(B)
@@ -248,34 +243,30 @@ class _Engine:
             pts = self._smear(x, self._elapsed(t[:, None], r_times), z)
             tally.uniforms += mult * Mm
             tally.gaussian_scalars += mult * Mm * d
+            r_flat = r_times.reshape(B * Mm)
+            x_flat = pts.reshape(B * Mm, d)
 
-            if self._recording():
+            hi_paths = lo_paths = None
+            if paths is not None:
+                hi_paths = [p + (k, m) for p in paths for m in range(1, Mm + 1)]
+                lo_paths = [p + (-k, m) for p in paths for m in range(1, Mm + 1)]
+                self.probe.correction_samples.extend(
+                    (path, k, (float(r_flat[i]), tuple(x_flat[i].tolist())))
+                    for i, path in enumerate(hi_paths)
+                )
+            sub_hi = self._evaluate(
+                k, r_flat, x_flat, dig_km.reshape(B * Mm), depth + 2, tally,
+                mult * Mm, hi_paths,
+            )
+            # level 0 never reads its digests, so k == 1 skips their absorb
+            dig_lo = None
+            if k > 1:
                 dig_neg = absorb_vec(digests[:, None], depth + 1, -k)
-                dig_lo_m = absorb_vec(dig_neg, depth + 2, ms)
-                sub_hi, sub_lo = self._corrections_recorded(
-                    k, ms, r_times, pts, dig_km, dig_lo_m, depth, tally,
-                    mult, path,
-                )
-                sub_hi = sub_hi.reshape(B * Mm)
-                sub_lo = sub_lo.reshape(B * Mm)
-                r_flat = r_times.reshape(B * Mm)
-                x_flat = pts.reshape(B * Mm, d)
-            else:
-                r_flat = r_times.reshape(B * Mm)
-                x_flat = pts.reshape(B * Mm, d)
-                dig_hi = dig_km.reshape(B * Mm)
-                sub_hi = self._evaluate(
-                    k, r_flat, x_flat, dig_hi, depth + 2, tally, mult * Mm
-                )
-                if k == 1:
-                    sub_lo = np.zeros(B * Mm)
-                else:
-                    dig_neg = absorb_vec(digests[:, None], depth + 1, -k)
-                    dig_lo = absorb_vec(dig_neg, depth + 2, ms).reshape(B * Mm)
-                    sub_lo = self._evaluate(
-                        k - 1, r_flat, x_flat, dig_lo, depth + 2, tally,
-                        mult * Mm
-                    )
+                dig_lo = absorb_vec(dig_neg, depth + 2, ms).reshape(B * Mm)
+            sub_lo = self._evaluate(
+                k - 1, r_flat, x_flat, dig_lo, depth + 2, tally, mult * Mm,
+                lo_paths,
+            )
 
             if self.probe is not None:
                 self.probe.saw_values(sub_hi)
@@ -289,35 +280,21 @@ class _Engine:
 
         return total
 
-    def _corrections_recorded(self, k, ms, r_times, pts, dig_hi_m, dig_lo_m,
-                              depth, tally, mult, path):
-        # audit mode: loop the m-sum so every recursive call carries its
-        # exact node path; draws, digests and results match the folded path
-        B, Mm = r_times.shape
-        sub_hi = np.empty((B, Mm))
-        sub_lo = np.empty((B, Mm))
-        for i, m in enumerate(ms):
-            m = int(m)
-            rx = (float(r_times[0, i]), tuple(pts[0, i].tolist()))
-            self.probe.correction_samples.append((path + (k, m), k, rx))
-            sub_hi[:, i] = self._evaluate(
-                k, r_times[:, i], pts[:, i, :], dig_hi_m[:, i], depth + 2,
-                tally, mult, path=path + (k, m),
-            )
-            sub_lo[:, i] = self._evaluate(
-                k - 1, r_times[:, i], pts[:, i, :], dig_lo_m[:, i],
-                depth + 2, tally, mult, path=path + (-k, m),
-            )
-        return sub_hi, sub_lo
 
-
-def _root_digests(seed, root_path, reps=None):
-    if reps is None:
-        return np.array([path_digest(seed, root_path)], dtype=np.uint64), len(root_path)
-    digs = absorb_vec(np.uint64(path_digest(seed, ())), 1, np.asarray(reps))
-    for i, v in enumerate(root_path):
-        digs = absorb_vec(digs, i + 2, v)
-    return digs, len(root_path) + 1
+def _run_lanes(problem, params, t, x, elems, probe=None):
+    # lane digests absorb elems after the seed; an element may be an array
+    # of per-lane indices (repetition numbers).  Returns the lane values
+    # and the tally of one lane.
+    digests = np.array([path_digest(params.seed, ())], dtype=np.uint64)
+    for depth, v in enumerate(elems, start=1):
+        digests = absorb_vec(digests, depth, v)
+    B = digests.shape[0]
+    tally = _MutableTally()
+    values = _Engine(problem, params, probe).run(
+        np.full(B, float(t)), np.broadcast_to(x, (B, problem.dimension)),
+        digests, len(elems), tally,
+    )
+    return values, tally.freeze()
 
 
 def _validate_point(problem, t, x):
@@ -330,6 +307,8 @@ def _validate_point(problem, t, x):
         raise ValueError(
             f"x has shape {x.shape}, problem dimension is {problem.dimension}"
         )
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got {x}")
     return x
 
 
@@ -337,11 +316,9 @@ def _estimate(problem, params, t, x, probe):
     x = _validate_point(problem, t, x)
     if params.levels == 0:
         return EstimateResult(0.0, CostTally())
-    digests, depth = _root_digests(params.seed, params.root_node.path)
-    engine = _Engine(problem, params, probe)
-    tally = _MutableTally()
-    values = engine.run(np.array([t]), x[None, :], digests, depth, tally)
-    return EstimateResult(float(values[0]), tally.freeze())
+    values, tally = _run_lanes(problem, params, t, x, params.root_node.path,
+                               probe)
+    return EstimateResult(float(values[0]), tally)
 
 
 def estimate_forward(problem: PdeProblem, params: MlpParams, t: float, x,
@@ -389,15 +366,8 @@ def estimate_batch(
     starts = list(range(0, repetitions, chunk))
 
     def run_chunk(start):
-        stop = min(start + chunk, repetitions)
-        reps = np.arange(start, stop, dtype=np.int64)
-        digests, depth = _root_digests(params.seed, params.root_node.path, reps)
-        engine = _Engine(problem, params, None)
-        tally = _MutableTally()
-        tvec = np.full(stop - start, float(t))
-        xmat = np.broadcast_to(x, (stop - start, d))
-        values = engine.run(tvec, xmat, digests, depth, tally)
-        return values, tally.freeze()
+        reps = np.arange(start, min(start + chunk, repetitions), dtype=np.int64)
+        return _run_lanes(problem, params, t, x, (reps, *params.root_node.path))
 
     if worker_count == 1 or len(starts) == 1:
         chunks = [run_chunk(s) for s in starts]

@@ -337,16 +337,16 @@ SWEEP_HEADER = ("epsilon", "d", "levels", "cumulative_cost", "scaled_cost")
 NONDETERMINISTIC_COLUMNS = ("wall_time_s",)
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows) -> None:
+    """One header row, then ``rows``; every CSV the package writes uses this."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def write_convergence_csv(path: str, rows: Sequence[ConvergenceRow]) -> None:
-    _write_csv(
+    write_csv(
         path,
         CONVERGENCE_HEADER,
         (
@@ -362,7 +362,7 @@ def write_convergence_csv(path: str, rows: Sequence[ConvergenceRow]) -> None:
 
 
 def write_scaling_csv(path: str, result: ScalingResult) -> None:
-    _write_csv(
+    write_csv(
         path,
         SCALING_HEADER,
         (
@@ -376,7 +376,7 @@ def write_scaling_csv(path: str, result: ScalingResult) -> None:
 
 
 def write_sweep_csv(path: str, result: SweepResult) -> None:
-    _write_csv(
+    write_csv(
         path,
         SWEEP_HEADER,
         (

@@ -25,7 +25,6 @@ estimator with machinery that cannot be wrong in the same way.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -339,12 +338,3 @@ def max_principle_check(
         sup = sol.sup_abs
         rows.append((sol.t, sup, bound, sup <= bound + tolerance))
     return MaxPrincipleReport(rows=tuple(rows), tolerance=tolerance)
-
-
-def write_curve_csv(path: str, rows, header=("t", "x", "value")) -> None:
-    """Oracle curves as CSV; rows are (t, x-or-index, value) triples."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)

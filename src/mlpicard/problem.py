@@ -81,8 +81,8 @@ class PdeProblem:
     def __post_init__(self):
         if int(self.dimension) != self.dimension or self.dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dimension}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
 
 
 @dataclass(frozen=True)

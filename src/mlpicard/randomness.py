@@ -146,9 +146,6 @@ class NodeId:
     def child(self, k: int, m: int) -> "NodeId":
         return NodeId(self.path + (k, m))
 
-    def prepend(self, j: int) -> "NodeId":
-        return NodeId((j,) + self.path)
-
     def encode(self) -> str:
         """Canonical text form: comma-joined signed ints, '-' if empty."""
         return ",".join(str(v) for v in self.path) if self.path else "-"
@@ -176,11 +173,6 @@ class StreamKey:
         return path_digest(self.seed, self.node.path)
 
 
-def child(node: NodeId, k: int, m: int) -> NodeId:
-    """Child address: append the two indices ``(k, m)`` to the path."""
-    return node.child(k, m)
-
-
 def raw_word(key: StreamKey) -> int:
     return _raw(key.digest(), key.counter)
 
@@ -197,44 +189,6 @@ def gaussian_vector(key: StreamKey, d: int) -> np.ndarray:
     digest = np.uint64(key.digest())
     counters = np.arange(key.counter, key.counter + d, dtype=np.uint64)
     return gaussians_vec(digest, counters)
-
-
-def sample_time_forward(node: NodeId, seed: int, t: float) -> float:
-    """Uniform time on [0, t]: t * U with U from the node's slot 0."""
-    if t < 0.0:
-        raise ValueError(f"forward time sampling needs t >= 0, got {t}")
-    return t * uniform01(StreamKey(seed, node, 0))
-
-
-def sample_time_backward(node: NodeId, seed: int, t: float, horizon: float) -> float:
-    """Uniform time on [t, T]: t + (T - t) * U with U from the node's slot 0."""
-    if not 0.0 <= t <= horizon:
-        raise ValueError(f"backward time sampling needs 0 <= t <= {horizon}, got {t}")
-    return t + (horizon - t) * uniform01(StreamKey(seed, node, 0))
-
-
-def brownian_point(
-    node: NodeId,
-    seed: int,
-    x: np.ndarray,
-    variance_scale: float,
-    elapsed: float,
-    first_slot: int = 0,
-) -> np.ndarray:
-    """x + sqrt(variance_scale * elapsed) * Z with Z from the node's slots.
-
-    ``elapsed = 0`` returns ``x`` exactly (no smearing, but the slots are
-    still the node's and the draw layout does not shift).
-    """
-    if elapsed < 0.0:
-        raise ValueError(f"elapsed time must be >= 0, got {elapsed}")
-    if variance_scale <= 0.0:
-        raise ValueError(f"variance_scale must be > 0, got {variance_scale}")
-    x = np.asarray(x, dtype=np.float64)
-    if elapsed == 0.0:
-        return x.copy()
-    z = gaussian_vector(StreamKey(seed, node, first_slot), x.shape[-1])
-    return x + np.sqrt(variance_scale * elapsed) * z
 
 
 # golden values: the frozen recipe, pinned as text

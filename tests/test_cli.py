@@ -98,6 +98,20 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[evaluation]\nx = nan\n",
+    "[problem]\ndata = cosine_mean\nkappa = 1.0\n[evaluation]\nx = inf\n",
+    "[problem]\nhorizon = inf\n",
+])
+def test_non_finite_input_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "nonfinite.ini"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "estimate", "--config", str(cfg))
+    assert code == 2
+    assert "finite" in err
+    assert "value_mean" not in out
+
+
 def test_missing_config_file_exits_2(capsys):
     code, _, err = run(capsys, "estimate", "--config", "/nonexistent.ini")
     assert code == 2

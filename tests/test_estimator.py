@@ -108,6 +108,11 @@ def test_point_validation():
         estimate_forward(prob, p, -0.1, np.zeros(2))
     with pytest.raises(ValueError):
         estimate_forward(prob, p, 0.5, np.zeros(3))  # wrong dimension
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_forward(prob, p, 0.5, np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            estimate_batch(prob, p, 0.5, np.array([bad, 0.0]), 2)
     scalar_ok = estimate_forward(forward_problem(d=1), p, 0.5, 0.0)
     assert scalar_ok.value == 2.0
 
@@ -184,7 +189,7 @@ def test_correction_nodes_share_time_and_point():
         assert lo == rx, (path, k)
 
 
-def test_recorded_run_matches_folded_run():
+def test_recording_leaves_values_and_tallies_unchanged():
     prob = forward_problem(d=2)
     params = params_for(3, 2, seed=3)
     probe = EstimatorProbe(record_paths=True)
@@ -192,6 +197,40 @@ def test_recorded_run_matches_folded_run():
     plain = estimate_forward(prob, params, 0.5, np.zeros(2))
     assert recorded.value == plain.value
     assert recorded.tally == plain.tally
+
+
+def test_recorded_correction_draws_follow_their_laws():
+    # each correction's (R, X), read against the (t, x) its parent received:
+    # R normalised to its interval is U(0, 1), and the Brownian increment
+    # scaled by sqrt(vs * elapsed) is N(0, I); vs = 2 forward, 1 backward
+    d, horizon = 2, 0.5
+    x0 = np.array([0.3, -0.7])
+    us, zs = [], []
+    for orientation, t in ((Orientation.FORWARD, 0.5),
+                           (Orientation.BACKWARD, 0.1)):
+        prob = make_problem(dimension=d, horizon=horizon,
+                            orientation=orientation)
+        forward = orientation is Orientation.FORWARD
+        estimate = estimate_forward if forward else estimate_backward
+        for seed in range(300):
+            probe = EstimatorProbe(record_paths=True)
+            estimate(prob, params_for(4, 4, seed=seed), t, x0, probe=probe)
+            entries = {path: point for path, _, point in probe.eval_entries}
+            for path, _, (r, x) in probe.correction_samples:
+                t_par, x_par = entries[path[:-2]]
+                if forward:
+                    us.append(r / t_par)
+                    elapsed, vs = t_par - r, 2.0
+                else:
+                    us.append((r - t_par) / (horizon - t_par))
+                    elapsed, vs = r - t_par, 1.0
+                zs.append((np.array(x) - x_par) / np.sqrt(vs * elapsed))
+    us, zs = np.array(us), np.concatenate(zs)
+    assert np.all((0.0 <= us) & (us < 1.0))
+    assert abs(us.mean() - 0.5) < 0.005
+    assert abs(us.var() - 1.0 / 12.0) < 0.002
+    assert abs(zs.mean()) < 0.015
+    assert abs(zs.var() - 1.0) < 0.02
 
 
 def test_truncation_inactive_radii_are_equivalent():

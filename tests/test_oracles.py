@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mlpicard.experiments import write_csv
 from mlpicard.oracles import (
     Boundary,
     FdOracle1d,
@@ -18,7 +19,6 @@ from mlpicard.oracles import (
     fixed_point_residual,
     max_principle_check,
     ode_solve,
-    write_curve_csv,
 )
 from mlpicard.problem import builtin_constant_data, builtin_data, make_problem
 
@@ -256,7 +256,5 @@ def test_max_principle_flags_injected_violation():
 
 def test_write_curve_csv(tmp_path):
     path = tmp_path / "curve.csv"
-    write_curve_csv(str(path), [(0.0, 0, 1.0), (0.5, 0, 1.175)])
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "t,x,value"
-    assert len(lines) == 3
+    write_csv(str(path), ("t", "x", "value"), [(0.0, 0, 1.0), (0.5, 0, 1.175)])
+    assert path.read_bytes() == b"t,x,value\n0.0,0,1.0\n0.5,0,1.175\n"

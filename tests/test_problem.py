@@ -178,6 +178,9 @@ def test_problem_validation():
         make_problem(dimension=0, horizon=0.5)
     with pytest.raises(ValueError):
         make_problem(dimension=1, horizon=0.0)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            make_problem(dimension=1, horizon=horizon)
     prob = make_problem(dimension=2, horizon=0.5,
                         orientation=Orientation.BACKWARD)
     assert prob.orientation is Orientation.BACKWARD

@@ -12,16 +12,12 @@ from mlpicard.randomness import (
     NodeId,
     StreamKey,
     absorb_vec,
-    brownian_point,
-    child,
     gaussian_vector,
     gaussians_vec,
     golden_lines,
     path_digest,
     raw_vec,
     raw_word,
-    sample_time_backward,
-    sample_time_forward,
     uniform01,
     uniforms_vec,
     verify_golden,
@@ -96,11 +92,11 @@ def test_gaussian_rejects_nonpositive_dimension():
 
 
 def test_child_appends_and_distinguishes_signs():
-    assert child(NodeId(()), 0, -1).path == (0, -1)
-    assert child(NodeId((0, -1)), 2, 3).path == (0, -1, 2, 3)
+    assert NodeId(()).child(0, -1).path == (0, -1)
+    assert NodeId((0, -1)).child(2, 3).path == (0, -1, 2, 3)
     base = NodeId((5,))
-    assert child(base, 1, 2) != child(base, -1, 2)
-    assert child(base, 0, 2) != child(base, 0, -2)
+    assert base.child(1, 2) != base.child(-1, 2)
+    assert base.child(0, 2) != base.child(0, -2)
 
 
 @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=8))
@@ -121,7 +117,7 @@ def test_path_digests_injective_on_small_paths():
 def test_prefix_and_extension_key_distinct_streams():
     # a path and its extensions must not share raw words at low counters
     base = NodeId((2, -3))
-    ext = child(base, 1, 4)
+    ext = base.child(1, 4)
     words_base = {raw_word(StreamKey(0, base, c)) for c in range(8)}
     words_ext = {raw_word(StreamKey(0, ext, c)) for c in range(8)}
     assert not words_base & words_ext
@@ -182,40 +178,6 @@ def test_scalar_and_vector_paths_agree():
                 assert uniform01(key) == float(uniforms_vec(digest, np.uint64(counter)))
             vec = gaussians_vec(digest, np.arange(4, dtype=np.uint64))
             assert np.array_equal(gaussian_vector(StreamKey(seed, NodeId(p), 0), 4), vec)
-
-
-def test_sample_time_forward():
-    assert sample_time_forward(NodeId((1,)), 0, 0.0) == 0.0
-    values = [sample_time_forward(NodeId((i,)), 0, 1.0) for i in range(10**5)]
-    values = np.array(values)
-    assert np.all((0.0 <= values) & (values <= 1.0))
-    assert abs(values.mean() - 0.5) < 0.005
-
-
-def test_sample_time_backward():
-    assert sample_time_backward(NodeId((1,)), 0, 2.0, 2.0) == 2.0
-    with pytest.raises(ValueError):
-        sample_time_backward(NodeId((1,)), 0, 3.0, 2.0)
-    values = [sample_time_backward(NodeId((i,)), 0, 0.0, 2.0) for i in range(10**5)]
-    values = np.array(values)
-    assert np.all((0.0 <= values) & (values <= 2.0))
-    assert abs(values.mean() - 1.0) < 0.01
-
-
-def test_brownian_point_zero_elapsed_is_exact():
-    x = np.array([1.5, -2.25, 1e-300])
-    y = brownian_point(NodeId((3,)), 0, x, variance_scale=2.0, elapsed=0.0)
-    assert np.array_equal(y, x)
-    assert y is not x  # caller may mutate the result safely
-
-
-def test_brownian_point_variance():
-    x = np.zeros(1)
-    draws = np.array([
-        brownian_point(NodeId((i,)), 0, x, variance_scale=2.0, elapsed=0.5)[0]
-        for i in range(10**5)
-    ])
-    assert abs(draws.var() - 1.0) < 0.02
 
 
 def test_brownian_point_coordinates_uncorrelated():
