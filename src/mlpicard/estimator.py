@@ -164,13 +164,12 @@ class _Engine:
         return t - r if self.forward else r - t
 
     def _smear(self, x, elapsed, z):
-        # x + sqrt(variance_scale * elapsed) * z; x (B,d), elapsed (B,) or
-        # (B,m), z matching with trailing d-axis
+        # x + sqrt(variance_scale * elapsed) * z with x (B,d), elapsed (B,m)
+        # and z (B,m,d); consumes z, which holds the points on return
         vs = 2.0 if self.forward else 1.0
-        scale = np.sqrt(vs * elapsed)
-        if z.ndim == 3:
-            return x[:, None, :] + scale[:, :, None] * z
-        return x + scale[:, None] * z
+        z *= np.sqrt(vs * elapsed)[:, :, None]
+        z += x[:, None, :]
+        return z
 
     # the recursion ------------------------------------------------------
 

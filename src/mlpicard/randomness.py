@@ -32,6 +32,12 @@ Floating-point derivation from the raw 64-bit word ``w``:
 
 The gaussian argument lies strictly inside (0, 1), so ``ndtri`` is finite.
 Gaussian vectors of length d consume exactly d consecutive counter slots.
+
+The vectorized kernels evaluate this recipe in place: each mixes the array
+it returns with ``out=`` passes, allocating no full-size temporaries.
+``gaussians_vec`` walks its output in blocks of ``_BLOCK`` elements, so each
+pass after the first runs in cache; every value is the same as the unblocked
+recipe, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,10 +55,16 @@ _SEED_PAD = 0x243F6A8885A308D3
 
 _U53_SCALE = 2.0**-53
 
-# numpy copies of the constants; uint64 array arithmetic wraps mod 2**64
+# numpy copies of the constants.  uint64 ufuncs wrap mod 2**64 silently;
+# only operators on numpy scalars warn, so the kernels apply operators to
+# arrays alone and call ufuncs by name where an operand may be a scalar
 _NP_PHI = np.uint64(_PHI64)
 _NP_M1 = np.uint64(_MIX1)
 _NP_M2 = np.uint64(_MIX2)
+_NP_S11, _NP_S27, _NP_S30, _NP_S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+
+# elements per block of the gaussian kernel: its scratch stays in L2
+_BLOCK = 1 << 15
 
 
 def mix64(z: int) -> int:
@@ -90,23 +102,33 @@ def path_digest(seed: int, path: tuple[int, ...]) -> int:
     return d
 
 
-# vectorized kernels: same recipe over uint64 arrays
+# vectorized kernels: same recipe over uint64 arrays, evaluated in place
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    # wraparound mod 2**64 is the point; silence numpy's scalar overflow noise
-    with np.errstate(over="ignore"):
-        z = z ^ (z >> np.uint64(30))
-        z = z * _NP_M1
-        z = z ^ (z >> np.uint64(27))
-        z = z * _NP_M2
-        z = z ^ (z >> np.uint64(31))
-    return z
+def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
+    # mix64 applied to z in place; tmp is caller-owned scratch of z's shape
+    np.right_shift(z, _NP_S30, out=tmp)
+    z ^= tmp
+    z *= _NP_M1
+    np.right_shift(z, _NP_S27, out=tmp)
+    z ^= tmp
+    z *= _NP_M2
+    np.right_shift(z, _NP_S31, out=tmp)
+    z ^= tmp
 
 
 def _zigzag_vec(v: np.ndarray) -> np.ndarray:
+    # (v << 1) XOR (v >> 63, all ones for v < 0) is zigzag in two's
+    # complement, and unlike 2v and -2v - 1 it cannot overflow
     v = np.asarray(v, dtype=np.int64)
-    return np.where(v >= 0, 2 * v, -2 * v - 1).astype(np.uint64)
+    z = np.bitwise_xor(np.left_shift(v, 1), np.right_shift(v, 63))
+    return z.astype(np.uint64)
+
+
+def _slot_offsets(counters) -> np.ndarray:
+    # (counter + 1) * phi, the per-slot offset added to each digest
+    c = np.asarray(counters, dtype=np.uint64)
+    return np.multiply(np.add(c, np.uint64(1)), _NP_PHI)
 
 
 def absorb_vec(digests: np.ndarray, depth: int, elems) -> np.ndarray:
@@ -115,26 +137,48 @@ def absorb_vec(digests: np.ndarray, depth: int, elems) -> np.ndarray:
     ``elems`` broadcasts against ``digests``; both scalars and arrays of
     per-lane indices are accepted.
     """
-    with np.errstate(over="ignore"):
-        z = _zigzag_vec(elems) + np.uint64((depth * _PHI64) & _MASK64)
-    return _mix64_vec(digests ^ _mix64_vec(z))
+    offset = np.uint64((depth * _PHI64) & _MASK64)
+    z = np.asarray(np.add(_zigzag_vec(elems), offset))
+    _mix64_into(z, np.empty_like(z))
+    h = np.asarray(np.bitwise_xor(digests, z))
+    _mix64_into(h, np.empty_like(h))
+    return h
 
 
 def raw_vec(digests: np.ndarray, counters) -> np.ndarray:
     """Raw 64-bit words at the given counter slots (broadcasting)."""
-    with np.errstate(over="ignore"):
-        c = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * _NP_PHI
-        w = digests + c
-    return _mix64_vec(w)
+    w = np.asarray(np.add(digests, _slot_offsets(counters)))
+    _mix64_into(w, np.empty_like(w))
+    return w
 
 
 def uniforms_vec(digests: np.ndarray, counters) -> np.ndarray:
-    return (raw_vec(digests, counters) >> np.uint64(11)).astype(np.float64) * _U53_SCALE
+    w = raw_vec(digests, counters)
+    w >>= _NP_S11
+    out = w.view(np.float64)
+    np.multiply(w, _U53_SCALE, out=out)
+    return out
 
 
 def gaussians_vec(digests: np.ndarray, counters) -> np.ndarray:
-    w = (raw_vec(digests, counters) >> np.uint64(11)).astype(np.float64)
-    return ndtri((w + 0.5) * _U53_SCALE)
+    """Standard gaussians at the given counter slots (broadcasting).
+
+    The words are formed in the float64 output itself, then converted block
+    by block, so one full-size array exists and each pass stays in cache.
+    """
+    words = np.asarray(np.add(digests, _slot_offsets(counters), order="C"))
+    out = words.view(np.float64)
+    flat, flat_words = out.reshape(-1), words.reshape(-1)
+    tmp = np.empty(min(_BLOCK, flat.size), dtype=np.uint64)
+    for lo in range(0, flat.size, _BLOCK):
+        w = flat_words[lo:lo + _BLOCK]
+        g = flat[lo:lo + _BLOCK]
+        _mix64_into(w, tmp[:w.size])
+        w >>= _NP_S11
+        np.add(w, 0.5, out=g)
+        g *= _U53_SCALE
+        ndtri(g, out=g)
+    return out
 
 
 @dataclass(frozen=True)

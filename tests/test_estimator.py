@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mlpicard import estimator
 from mlpicard.bounds import cost_bound, cost_recursion
 from mlpicard.estimator import (
     CostTally,
@@ -171,6 +172,25 @@ def test_batch_bit_identical_across_worker_counts():
     for w in (4, 8):
         assert [res.value for res in runs[w]] == base
         assert [res.tally for res in runs[w]] == [res.tally for res in runs[1]]
+
+
+def test_caller_point_is_never_written(monkeypatch):
+    # the Brownian smear writes in place; it must never reach the caller's x
+    monkeypatch.setattr(estimator, "_CHUNK_BUDGET", 4 * 3**3 * 3)
+    fwd = make_problem(dimension=3, horizon=0.5,
+                       nonlinearity=no_skip_allen_cahn(),
+                       data=builtin_data("cosine_mean", 3, kappa=1.0))
+    bwd = transform_to_backward(fwd)
+    params = params_for(3, 3, seed=2)
+    x = np.array([0.25, -0.5, 1.0])
+    before = x.copy()
+    estimate_forward(fwd, params, 0.5, x)
+    estimate_backward(bwd, params, 0.1, x)
+    for prob in (fwd, bwd):
+        # three 4-lane chunks over two workers
+        estimate_batch(prob, params, 0.2, x, 10, worker_count=2)
+    assert x.flags.writeable
+    assert x.tobytes() == before.tobytes()
 
 
 def test_correction_nodes_share_time_and_point():

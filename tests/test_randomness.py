@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from mlpicard.randomness import (
+    _BLOCK,
     GOLDEN_ENTRIES,
     NodeId,
     StreamKey,
@@ -39,6 +41,24 @@ GOLDEN_MIRROR = [
     (2**64 - 1, (1, -2, 3), 2, 0xCEDBC5A2A1112FF3),
 ]
 
+# Independent mirror of gaussian_vector(key, 3) at every golden key, as
+# float.hex.  The golden words pin mix64; these pin the float conversion
+# and ndtri on top of it.
+GAUSSIAN_MIRROR = [
+    (0, (), 0, ("0x1.3dead6997c593p-1", "-0x1.17e9609006fd8p+0", "-0x1.0db78ce07f924p-2")),
+    (0, (), 1, ("-0x1.17e9609006fd8p+0", "-0x1.0db78ce07f924p-2", "0x1.37b6b2fdf76b1p-1")),
+    (1, (), 0, ("-0x1.8e95e548a2e65p-3", "0x1.080abc575bf08p-1", "0x1.e2ea7d3090f05p-2")),
+    (0, (0,), 0, ("0x1.3811ae1769850p-1", "-0x1.a4b75b311271ep-2", "-0x1.6f805250e51a4p-3")),
+    (0, (1,), 0, ("-0x1.f7758dcce9166p+0", "-0x1.920099676e013p-2", "0x1.e43fdec3a2a69p-3")),
+    (0, (-1,), 0, ("0x1.59981b5245aa0p-3", "-0x1.ac0a39fc43dbep+0", "0x1.7e510eb090e01p-3")),
+    (42, (0, -1), 3, ("-0x1.17d382e01245dp-9", "-0x1.52f5066496609p+1", "0x1.734ef20bba71ep-2")),
+    (42, (0, 1), 3, ("0x1.f584a4c70f0d8p+0", "0x1.1fced0f89c1ccp+0", "-0x1.f9684386adb30p-1")),
+    (123456789, (2, 3, -4, 5), 7,
+     ("-0x1.f40e29b11c3b8p-3", "-0x1.4b69f89463114p-2", "-0x1.1e8582583a47dp-1")),
+    (2**64 - 1, (1, -2, 3), 2,
+     ("0x1.bdcc5d10bf93fp-1", "-0x1.6d7d88cd5bb52p+0", "0x1.a7c94d0ec5258p+0")),
+]
+
 
 def test_golden_file_matches_generator():
     path = importlib.resources.files("mlpicard") / "golden_rng.txt"
@@ -49,6 +69,14 @@ def test_golden_hardcoded_mirror():
     for seed, node_path, counter, expected in GOLDEN_MIRROR:
         key = StreamKey(seed=seed, node=NodeId(node_path), counter=counter)
         assert raw_word(key) == expected, (seed, node_path, counter)
+
+
+def test_gaussian_hardcoded_mirror():
+    assert [entry[:3] for entry in GAUSSIAN_MIRROR] == GOLDEN_ENTRIES
+    for seed, node_path, counter, expected in GAUSSIAN_MIRROR:
+        key = StreamKey(seed=seed, node=NodeId(node_path), counter=counter)
+        got = tuple(float(v).hex() for v in gaussian_vector(key, 3))
+        assert got == expected, (seed, node_path, counter)
 
 
 def test_golden_lines_cover_all_entries():
@@ -178,6 +206,58 @@ def test_scalar_and_vector_paths_agree():
                 assert uniform01(key) == float(uniforms_vec(digest, np.uint64(counter)))
             vec = gaussians_vec(digest, np.arange(4, dtype=np.uint64))
             assert np.array_equal(gaussian_vector(StreamKey(seed, NodeId(p), 0), 4), vec)
+
+
+def _unblocked_gaussians(digests, counters):
+    # the gaussian recipe in one unblocked expression
+    return ndtri(((raw_vec(digests, counters) >> np.uint64(11)) + 0.5) * 2.0**-53)
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.dtype == np.float64
+    assert got.shape == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_blocked_gaussians_match_unblocked_recipe():
+    root = np.uint64(path_digest(17, (2, -5)))
+    lanes = absorb_vec(root, 1, np.arange(4096, dtype=np.int64))
+    # B*m*d = 3 * _BLOCK + 7, so block edges fall inside rows
+    B, m, d = 1, 17, 5783
+    assert B * m * d == 3 * _BLOCK + 7
+    cases = [
+        (root, np.uint64(5)),                                    # 0-d
+        (lanes[:0, None], np.arange(3, dtype=np.uint64)),        # (0, 3)
+        (root, np.arange(_BLOCK - 1, dtype=np.uint64)),
+        (root, np.arange(_BLOCK, dtype=np.uint64)),
+        (root, np.arange(_BLOCK + 1, dtype=np.uint64)),
+        (lanes[:B * m].reshape(B, m, 1), np.arange(1, d + 1, dtype=np.uint64)),
+        (lanes.reshape(64, 64).T[::3, :, None], np.arange(7, dtype=np.uint64)),
+    ]
+    # bulk: ten grids of 409 lanes x 2445 slots, 10**7 words in all
+    for j in range(10):
+        cases.append((lanes[j:j + 4090:10, None],
+                      np.arange(j, j + 2445, dtype=np.uint64)))
+    total = 0
+    for digests, counters in cases:
+        got = gaussians_vec(digests, counters)
+        _assert_bitwise_equal(got, _unblocked_gaussians(digests, counters))
+        total += got.size
+    assert total >= 10**7
+
+
+def test_blocked_gaussians_match_scalar_words():
+    # a sample of a block-straddling call against raw_word and scalar ndtri
+    seed, d = 4, 3 * _BLOCK + 7
+    lanes = absorb_vec(np.uint64(path_digest(seed, ())), 1, np.arange(2))
+    z = gaussians_vec(lanes[:, None], np.arange(d, dtype=np.uint64))
+    edges = [e * _BLOCK + off for e in range(1, 6) for off in (-1, 0)]
+    sample = np.random.default_rng(0).integers(0, z.size, 200)
+    for flat in [0, z.size - 1, *edges, *sample.tolist()]:
+        j, c = divmod(flat, d)
+        w = raw_word(StreamKey(seed, NodeId((j,)), c))
+        want = float(ndtri(((w >> 11) + 0.5) * 2.0**-53))
+        assert z[j, c].hex() == want.hex(), (j, c)
 
 
 def test_brownian_point_coordinates_uncorrelated():
