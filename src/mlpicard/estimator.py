@@ -28,13 +28,18 @@ strictly (the model charges those draws regardless).
 
 The engine is vectorized across independent repetitions ("lanes"): the tree
 shape depends only on (n, M), so one traversal serves a whole batch, and the
-inner m-sums fold into the lane axis of the recursive calls.  Results are a
-pure function of (seed, node path, counter); chunking and thread counts
-cannot change them.
+inner m-sums fold into the lane axis of the recursive calls.  Each pass
+over the (lane, m) pairs of one level draws, smears and evaluates their
+d-vectors in tiles of at most ``_TILE`` float64 elements, and only the
+scalar results are kept whole, so memory grows with the levels and not
+with M^n * d.  Results are a pure function of (seed, node path, counter):
+every lane and every row is computed on its own, so tiles, chunks and
+thread counts cannot change a value, a tally or a recorded entry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,8 +55,14 @@ from .randomness import (
     uniforms_vec,
 )
 
-# lane chunking keeps peak arrays near chunk * M^n * d doubles (~34 MB)
+# repetitions per chunk, the unit of parallel work: chunk * M^n * d stays
+# near this many elements.  Memory is bounded by _TILE, not by chunks
 _CHUNK_BUDGET = 1 << 22
+
+# float64 elements per tile (8 * randomness._BLOCK): the recursion draws and
+# evaluates its d-vectors one tile at a time, so a frame holds at most one
+# tile of points and a run peaks near (levels + 1) tiles plus the scalars
+_TILE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -104,9 +115,10 @@ class EstimatorProbe:
     recorded evidence.  Recording reads the folded arrays of the same
     recursion that produces every value, so draws, values and tallies are
     unchanged.  Entries arrive in breadth order across the m-siblings of
-    one correction (they share a folded call, so they are logged together
-    in m order) and depth first across k.  Recording keeps one tuple per
-    node of the tree, so it is meant for small audit runs only.
+    one correction that share a tile (they share a folded call, so they
+    are logged together in m order) and depth first across tiles and k.
+    Recording keeps one tuple per node of the tree, so it is meant for
+    small audit runs only.
     """
 
     def __init__(self, record_paths: bool = False):
@@ -131,9 +143,11 @@ class _MutableTally:
         self.f_evals = 0
         self.data_evals = 0
 
-    def freeze(self) -> CostTally:
+    def freeze(self, lanes: int) -> CostTally:
+        # the counts cover every lane; each lane's tree is the same shape
         return CostTally(
-            self.gaussian_scalars, self.uniforms, self.f_evals, self.data_evals
+            self.gaussian_scalars // lanes, self.uniforms // lanes,
+            self.f_evals // lanes, self.data_evals // lanes,
         )
 
 
@@ -171,19 +185,47 @@ class _Engine:
         z += x[:, None, :]
         return z
 
+    def _tiles(self, lanes, m):
+        # (lane, m) rectangles of at most _TILE elements, d per pair: runs of
+        # whole lanes while a lane fits, else runs of m inside one lane.
+        # Each rectangle is a contiguous run of the row-major (lanes * m) fold
+        rows = max(1, _TILE // self.d)
+        if m <= rows:
+            step = rows // m
+            for b in range(0, lanes, step):
+                yield slice(b, min(b + step, lanes)), slice(0, m)
+        else:
+            for b in range(lanes):
+                for j in range(0, m, rows):
+                    yield slice(b, b + 1), slice(j, min(j + rows, m))
+
+    def _sample(self, x, elapsed, digests, slots, evaluate):
+        # evaluate(points, tile) at the smeared gaussians of every (lane, m)
+        # pair of digests (B, m), one tile at a time; returns the (B, m)
+        # scalar results.  Rows are independent, so tiling changes no value
+        parts = [self._sample_tile(x, elapsed, digests, slots, evaluate, tile)
+                 for tile in self._tiles(*digests.shape)]
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return out.reshape(digests.shape)
+
+    def _sample_tile(self, x, elapsed, digests, slots, evaluate, tile):
+        z = gaussians_vec(digests[tile][:, :, None], slots)
+        pts = self._smear(x[tile[0]], elapsed[tile], z)
+        return evaluate(pts.reshape(-1, self.d), tile)
+
     # the recursion ------------------------------------------------------
 
     def run(self, t, x, digests, depth, tally):
         recording = self.probe is not None and self.probe.record_paths
         return self._evaluate(
-            self.params.levels, t, x, digests, depth, tally, 1,
+            self.params.levels, t, x, digests, depth, tally,
             paths=[self.params.root_node.path] if recording else None,
         )
 
-    def _evaluate(self, n, t, x, digests, depth, tally, mult, paths=None):
-        # mult = lanes here per root lane; scales all per-lane tally counts.
-        # paths (recording only) names lanes 0..len(paths)-1, the lanes that
-        # descend from root lane 0: the (B, Mm) -> B*Mm folds are row-major
+    def _evaluate(self, n, t, x, digests, depth, tally, paths=None):
+        # tally counts the draws and evaluations of all B lanes.  paths
+        # (recording only) names lanes 0..len(paths)-1, the lanes that
+        # descend from root lane 0: the (B, m) -> B*m folds are row-major
         B = t.shape[0]
         if paths is not None:
             self.probe.eval_entries.extend(
@@ -196,18 +238,19 @@ class _Engine:
         nl, data = self.nl, self.data
         d = self.d
         outer = self._outer_coef(t)
+        slots1 = self.gauss_slots + np.uint64(1)
 
         # level 0: data samples at nodes (theta, 0, -m), m = 1..M^n
         Mn = M**n
         ms = np.arange(1, Mn + 1, dtype=np.int64)
         dig_zero = absorb_vec(digests[:, None], depth + 1, 0)
         dig_data = absorb_vec(dig_zero, depth + 2, -ms)
-        z = gaussians_vec(dig_data[:, :, None], self.gauss_slots)
-        elapsed0 = np.broadcast_to(outer[:, None], (B, Mn))
-        pts = self._smear(x, elapsed0, z)
-        vals = data.eval(pts.reshape(B * Mn, d)).reshape(B, Mn)
-        tally.gaussian_scalars += mult * Mn * d
-        tally.data_evals += mult * Mn
+        vals = self._sample(
+            x, np.broadcast_to(outer[:, None], (B, Mn)), dig_data,
+            self.gauss_slots, lambda pts, tile: data.eval(pts),
+        )
+        tally.gaussian_scalars += vals.size * d
+        tally.data_evals += vals.size
         total = vals.mean(axis=1)
 
         # level 0: f samples at nodes (theta, 0, m); skipped when f(.,.,0)
@@ -216,68 +259,74 @@ class _Engine:
             total = total + outer * nl.f_at_zero
         else:
             dig_f = absorb_vec(dig_zero, depth + 2, ms)
-            u = uniforms_vec(dig_f, 0)
-            r_times = self._sample_time(t[:, None], u)
-            zf = gaussians_vec(dig_f[:, :, None], self.gauss_slots + np.uint64(1))
-            ptsf = self._smear(x, self._elapsed(t[:, None], r_times), zf)
-            fvals = nl.eval(
-                r_times.reshape(-1), ptsf.reshape(B * Mn, d), np.zeros(B * Mn)
-            ).reshape(B, Mn)
-            tally.uniforms += mult * Mn
-            tally.gaussian_scalars += mult * Mn * d
-            tally.f_evals += mult * Mn
+            r_times = self._sample_time(t[:, None], uniforms_vec(dig_f, 0))
+            fvals = self._sample(
+                x, self._elapsed(t[:, None], r_times), dig_f, slots1,
+                lambda pts, tile: nl.eval(
+                    r_times[tile].reshape(-1), pts, np.zeros(len(pts))),
+            )
+            tally.uniforms += fvals.size
+            tally.gaussian_scalars += fvals.size * d
+            tally.f_evals += fvals.size
             total = total + outer * fvals.mean(axis=1)
 
         # corrections k = 1..n-1: (R, X) drawn once at (theta, k, m) and fed
         # to BOTH the level-k and the level-(k-1) evaluation
-        rr = self.params.truncation_radius
         for k in range(1, n):
             Mm = M ** (n - k)
             ms = np.arange(1, Mm + 1, dtype=np.int64)
-            dig_k = absorb_vec(digests[:, None], depth + 1, k)
-            dig_km = absorb_vec(dig_k, depth + 2, ms)
-            u = uniforms_vec(dig_km, 0)
-            r_times = self._sample_time(t[:, None], u)
-            z = gaussians_vec(dig_km[:, :, None], self.gauss_slots + np.uint64(1))
-            pts = self._smear(x, self._elapsed(t[:, None], r_times), z)
-            tally.uniforms += mult * Mm
-            tally.gaussian_scalars += mult * Mm * d
-            r_flat = r_times.reshape(B * Mm)
-            x_flat = pts.reshape(B * Mm, d)
-
+            dig_km = absorb_vec(
+                absorb_vec(digests[:, None], depth + 1, k), depth + 2, ms)
+            # level 0 never reads its digests, so k == 1 skips their absorb
+            dig_lo = None
+            if k > 1:
+                dig_lo = absorb_vec(
+                    absorb_vec(digests[:, None], depth + 1, -k), depth + 2, ms)
+            r_times = self._sample_time(t[:, None], uniforms_vec(dig_km, 0))
             hi_paths = lo_paths = None
             if paths is not None:
                 hi_paths = [p + (k, m) for p in paths for m in range(1, Mm + 1)]
                 lo_paths = [p + (-k, m) for p in paths for m in range(1, Mm + 1)]
-                self.probe.correction_samples.extend(
-                    (path, k, (float(r_flat[i]), tuple(x_flat[i].tolist())))
-                    for i, path in enumerate(hi_paths)
-                )
-            sub_hi = self._evaluate(
-                k, r_flat, x_flat, dig_km.reshape(B * Mm), depth + 2, tally,
-                mult * Mm, hi_paths,
+            correct = functools.partial(
+                self._correction, k, r_times, dig_km, dig_lo, depth + 2,
+                tally, hi_paths, lo_paths,
             )
-            # level 0 never reads its digests, so k == 1 skips their absorb
-            dig_lo = None
-            if k > 1:
-                dig_neg = absorb_vec(digests[:, None], depth + 1, -k)
-                dig_lo = absorb_vec(dig_neg, depth + 2, ms).reshape(B * Mm)
-            sub_lo = self._evaluate(
-                k - 1, r_flat, x_flat, dig_lo, depth + 2, tally, mult * Mm,
-                lo_paths,
-            )
-
-            if self.probe is not None:
-                self.probe.saw_values(sub_hi)
-                self.probe.saw_values(sub_lo)
-
-            f_hi = eval_truncated_f(nl, r_flat, x_flat, sub_hi, rr)
-            f_lo = eval_truncated_f(nl, r_flat, x_flat, sub_lo, rr)
-            tally.f_evals += mult * 2 * Mm
-            diff = (f_hi - f_lo).reshape(B, Mm).sum(axis=1)
-            total = total + (outer / Mm) * diff
+            diff = self._sample(
+                x, self._elapsed(t[:, None], r_times), dig_km, slots1, correct)
+            tally.uniforms += diff.size
+            tally.gaussian_scalars += diff.size * d
+            tally.f_evals += 2 * diff.size
+            total = total + (outer / Mm) * diff.sum(axis=1)
 
         return total
+
+    def _correction(self, k, r_times, dig_km, dig_lo, depth, tally, hi_paths,
+                    lo_paths, pts, tile):
+        # f_r(U_k) - f_r(U_{k-1}) at one tile of the correction draws (R, X)
+        r_flat = r_times[tile].reshape(-1)
+        if hi_paths is not None:
+            # the recorded lanes lead the fold; keep this tile's share
+            lanes, ms = tile
+            first = lanes.start * r_times.shape[1] + ms.start
+            hi_paths = hi_paths[first:first + len(pts)] or None
+            lo_paths = lo_paths[first:first + len(pts)] or None
+            self.probe.correction_samples.extend(
+                (path, k, (float(r_flat[i]), tuple(pts[i].tolist())))
+                for i, path in enumerate(hi_paths or ())
+            )
+        sub_hi = self._evaluate(k, r_flat, pts, dig_km[tile].reshape(-1),
+                                depth, tally, hi_paths)
+        sub_lo = self._evaluate(
+            k - 1, r_flat, pts,
+            None if dig_lo is None else dig_lo[tile].reshape(-1),
+            depth, tally, lo_paths,
+        )
+        if self.probe is not None:
+            self.probe.saw_values(sub_hi)
+            self.probe.saw_values(sub_lo)
+        rr = self.params.truncation_radius
+        return (eval_truncated_f(self.nl, r_flat, pts, sub_hi, rr)
+                - eval_truncated_f(self.nl, r_flat, pts, sub_lo, rr))
 
 
 def _run_lanes(problem, params, t, x, elems, probe=None):
@@ -293,7 +342,7 @@ def _run_lanes(problem, params, t, x, elems, probe=None):
         np.full(B, float(t)), np.broadcast_to(x, (B, problem.dimension)),
         digests, len(elems), tally,
     )
-    return values, tally.freeze()
+    return values, tally.freeze(B)
 
 
 def _validate_point(problem, t, x):
@@ -371,7 +420,8 @@ def estimate_batch(
     if worker_count == 1 or len(starts) == 1:
         chunks = [run_chunk(s) for s in starts]
     else:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
+        workers = min(worker_count, len(starts))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_chunk, starts))
 
     tally = chunks[0][1]

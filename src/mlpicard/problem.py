@@ -38,7 +38,12 @@ class Orientation(enum.Enum):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Reaction term f with the metadata the error theory consumes."""
+    """Reaction term f with the metadata the error theory consumes.
+
+    ``eval(t, x, u)`` gets one block of rows at a time, t (B,), x (B, d) and
+    u (B,), with B set by the estimator's tiling; it must treat the rows
+    independently, so that no value depends on how they are blocked.
+    """
 
     eval: Callable[..., np.ndarray]
     lipschitz_local: Callable[[float], float]
@@ -58,6 +63,9 @@ class DataFunction:
 
     kappa enters the error constants; no finite sample can compute a true
     supremum, so it is declared, and invariant checks only spot-verify it.
+    ``eval(x)`` gets one block of rows x (B, d) at a time, with B set by the
+    estimator's tiling, and returns (B,); it must treat the rows
+    independently, so that no value depends on how they are blocked.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]

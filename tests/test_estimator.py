@@ -1,6 +1,7 @@
 """Estimator semantics: exact base cases, draw accounting, sharing, truncation."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,81 @@ def test_caller_point_is_never_written(monkeypatch):
         estimate_batch(prob, params, 0.2, x, 10, worker_count=2)
     assert x.flags.writeable
     assert x.tobytes() == before.tobytes()
+
+
+def test_batch_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    requested = []
+
+    class RecordingPool(estimator.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            requested.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordingPool)
+    # d = 3, n = M = 2: 12 elements per lane, so 4-lane chunks, 3 of them
+    monkeypatch.setattr(estimator, "_CHUNK_BUDGET", 4 * 2**2 * 3)
+    prob = forward_problem(d=3)
+    params = params_for(2, 2, seed=4)
+    wide = estimate_batch(prob, params, 0.5, np.zeros(3), 10, worker_count=64)
+    assert requested == [3]
+    serial = estimate_batch(prob, params, 0.5, np.zeros(3), 10)
+    assert [r.value for r in wide] == [r.value for r in serial]
+
+
+def _tile_run(prob, params, t, x):
+    # a single recorded run and a multi-chunk batch on 2 workers
+    probe = EstimatorProbe(record_paths=True)
+    estimate = (estimate_forward if prob.orientation is Orientation.FORWARD
+                else estimate_backward)
+    single = estimate(prob, params, t, x, probe=probe)
+    batch = estimate_batch(prob, params, t, x, 7, worker_count=2)
+    return (single.value, single.tally, probe.max_recursive_abs,
+            sorted(probe.eval_entries), sorted(probe.correction_samples),
+            [(r.value, r.tally) for r in batch])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("data_name", ["constant", "cosine_mean",
+                                       "gaussian_bump"])
+@pytest.mark.parametrize("f_at_zero", [True, False])
+def test_tiny_tiles_change_nothing(monkeypatch, d, data_name, f_at_zero):
+    # _TILE = 7 gives tiles of 7 rows at d = 1 (runs of whole lanes at
+    # M^k <= 3, runs inside a lane above) and of 2 rows at d = 3 (runs
+    # inside a lane), so lanes and rows split across tiles at every level
+    params_ = {"value": 2.0} if data_name == "constant" else {"kappa": 1.5}
+    data = builtin_data(data_name, d, **params_)
+    nl = None if f_at_zero else no_skip_allen_cahn()
+    fwd = make_problem(dimension=d, horizon=0.5, nonlinearity=nl, data=data)
+    x = np.linspace(-0.4, 0.3, d)
+    for prob, t in ((fwd, 0.4), (transform_to_backward(fwd), 0.1)):
+        for n, M in ((3, 3), (4, 2)):
+            params = params_for(n, M, r=3.0, seed=6)
+            with monkeypatch.context() as patch:
+                # 3 lanes per chunk, so 3 chunks of the 7 repetitions
+                patch.setattr(estimator, "_CHUNK_BUDGET", 3 * M**n * d)
+                default = _tile_run(prob, params, t, x)
+                patch.setattr(estimator, "_TILE", 7)
+                tiny = _tile_run(prob, params, t, x)
+            assert tiny == default, (prob.orientation, n, M)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_peak_memory_is_bounded_by_tiles(n):
+    # one lane at d = 1000: the points live in at most (n + 2) tiles; what
+    # grows with M^n is only a few scalar arrays.  Unbounded, the level-0
+    # array alone is M^n * d doubles (25 MB at n = M = 5)
+    d = 1000
+    prob = make_problem(dimension=d, horizon=0.05)
+    params = params_for(n, n, r=3.0, seed=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        estimate_forward(prob, params, 0.05, np.zeros(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = (n + 2) * estimator._TILE * 8 + 16 * 8 * n**n
+    assert peak <= bound, (n, peak, bound)
 
 
 def test_correction_nodes_share_time_and_point():
