@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .problem import Orientation, PdeProblem
 from .randomness import absorb_vec, gaussians_vec, path_digest, uniforms_vec
@@ -147,12 +146,14 @@ class FdOracle1d:
     boundary: Boundary = Boundary.NEUMANN
 
     def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise ValueError(f"half_width must be > 0, got {self.half_width}")
+        if not 0.0 < self.half_width < math.inf:
+            raise ValueError(
+                f"half_width must be finite and > 0, got {self.half_width}"
+            )
         if self.grid_points < 3:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
 
     @property
     def dx(self) -> float:
@@ -184,6 +185,13 @@ def fd_solve_1d(problem: PdeProblem, oracle: FdOracle1d, t: float) -> FdSolution
     Diffusion steps implicitly (tridiagonal solve for Neumann, Fourier
     solve for periodic), the reaction explicitly.  The effective step is
     t/ceil(t/dt) <= dt.  NaN/inf or |u| > 1e10 aborts with a suggested dt.
+
+    The Neumann solve calls LAPACK's ``dgtsv`` directly, the routine
+    ``scipy.linalg.solve_banded`` uses for one band each side, without
+    its per-call validation.  ``scipy.linalg`` is imported on the first
+    Neumann solve, so processes that never make one do not load LAPACK.
+    A datum that is not finite on the grid, or a grid so fine that
+    dt/dx^2 is not finite, is a ValueError.
     """
     if problem.orientation is not Orientation.FORWARD:
         raise ValueError("fd_solve_1d expects the forward orientation")
@@ -194,24 +202,37 @@ def fd_solve_1d(problem: PdeProblem, oracle: FdOracle1d, t: float) -> FdSolution
 
     x = oracle.grid()
     u = np.asarray(problem.data.eval(x[:, None]), dtype=np.float64).copy()
+    if not np.all(np.isfinite(u)):
+        raise ValueError("the datum is not finite on the FD grid")
     if t == 0.0:
         return FdSolution(0.0, x, u)
 
     steps = max(1, math.ceil(t / oracle.dt))
     dt = t / steps
-    alpha = dt / oracle.dx**2
+    dx2 = oracle.dx**2
+    alpha = dt / dx2 if dx2 > 0.0 else math.inf
+    if not math.isfinite(alpha):
+        raise ValueError(
+            f"dt/dx^2 is not finite (dx = {oracle.dx:g}); the grid is too fine"
+        )
     nl = problem.nonlinearity
     J = oracle.grid_points
 
     if oracle.boundary is Boundary.NEUMANN:
-        # (I - dt Lap) as a banded matrix; mirrored ghosts give zero flux
-        ab = np.zeros((3, J))
-        ab[0, 1:] = -alpha
-        ab[1, :] = 1.0 + 2.0 * alpha
-        ab[2, :-1] = -alpha
-        ab[0, 1] = -2.0 * alpha
-        ab[2, -2] = -2.0 * alpha
-        solver = lambda rhs: solve_banded((1, 1), ab, rhs)
+        from scipy.linalg.lapack import dgtsv
+
+        # (I - dt Lap) by its three diagonals; mirrored ghosts give zero flux
+        dl = np.full(J - 1, -alpha)
+        dl[-1] = -2.0 * alpha
+        d = np.full(J, 1.0 + 2.0 * alpha)
+        du = np.full(J - 1, -alpha)
+        du[0] = -2.0 * alpha
+
+        def solver(rhs):
+            *_, sol, info = dgtsv(dl, d, du, rhs, overwrite_b=True)
+            if info != 0:
+                raise OracleError(f"tridiagonal solve failed, LAPACK info {info}")
+            return sol
     else:
         # periodic: (I - dt Lap) is circulant, solve in Fourier space
         modes = np.arange(J // 2 + 1)
@@ -226,7 +247,7 @@ def fd_solve_1d(problem: PdeProblem, oracle: FdOracle1d, t: float) -> FdSolution
         fp = np.asarray(nl.eval(time + dt, x[:, None], pred), dtype=np.float64)
         u = solver(u + 0.5 * dt * (fu + fp))
         time += dt
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e10:
+        if not np.abs(u).max() <= 1e10:  # also true for NaN
             raise OracleError(
                 f"FD blow-up at t={time:.6g}; the explicit reaction step is "
                 f"unstable here, retry with dt <= {dt / 4.0:g}"

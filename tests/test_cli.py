@@ -112,6 +112,25 @@ def test_non_finite_input_exits_2(tmp_path, capsys, text):
     assert "value_mean" not in out
 
 
+@pytest.mark.parametrize("text", [
+    "[problem]\ndata = cosine_mean\nkappa = 1.0\n"
+    "[oracle]\nkind = fd\nhalf_width = inf\n",
+    "[oracle]\nkind = fd\nhalf_width = inf\n",
+    "[oracle]\nkind = fd\nhalf_width = 1e-160\ngrid_points = 3\n",
+    "[oracle]\nkind = fd\nhalf_width = 1e-160\n",
+    "[oracle]\nkind = fd\nhalf_width = 1e-160\nboundary = periodic\n",
+])
+def test_degenerate_fd_grid_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out_path = tmp_path / "fd.csv"
+    code, _, err = run(capsys, "oracle", "--config", str(cfg),
+                       "--out", str(out_path))
+    assert code == 2
+    assert "config error" in err
+    assert not out_path.exists()
+
+
 def test_missing_config_file_exits_2(capsys):
     code, _, err = run(capsys, "estimate", "--config", "/nonexistent.ini")
     assert code == 2

@@ -2,10 +2,15 @@
 
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mlpicard
 from mlpicard.experiments import write_csv
 from mlpicard.oracles import (
     Boundary,
@@ -20,7 +25,13 @@ from mlpicard.oracles import (
     max_principle_check,
     ode_solve,
 )
-from mlpicard.problem import builtin_constant_data, builtin_data, make_problem
+from mlpicard.problem import (
+    Nonlinearity,
+    builtin_constant_data,
+    builtin_data,
+    builtin_nonlinearity,
+    make_problem,
+)
 
 
 def allen_cahn_f(y):
@@ -149,6 +160,94 @@ def test_fd_preconditions():
         fd_solve_1d(constant_problem(), FD, 0.7)
     with pytest.raises(ValueError):
         FdOracle1d(half_width=6.0, grid_points=2, dt=1e-4)
+
+
+def test_fd_degenerate_grid_or_datum_is_value_error():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="half_width"):
+            FdOracle1d(half_width=bad, grid_points=201, dt=1e-4)
+        with pytest.raises(ValueError, match="dt"):
+            FdOracle1d(half_width=6.0, grid_points=201, dt=bad)
+    prob = constant_problem(2.0)
+    for J in (201, 3):
+        # dx^2 underflows to 0 (J = 201) or to a subnormal (J = 3)
+        tiny = FdOracle1d(half_width=1e-160, grid_points=J, dt=1e-4)
+        with pytest.raises(ValueError, match="dt/dx"):
+            fd_solve_1d(prob, tiny, 0.1)
+    nan_datum = make_problem(dimension=1, horizon=0.5,
+                             data=builtin_data("cosine_mean", 1,
+                                               kappa=math.nan))
+    for boundary in Boundary:
+        oracle = dataclasses.replace(FD, boundary=boundary)
+        with pytest.raises(ValueError, match="datum"):
+            fd_solve_1d(nan_datum, oracle, 0.1)
+
+
+def test_fd_non_finite_reaction_is_oracle_error_on_both_boundaries():
+    # exp(800) overflows on the first reaction substep
+    exp_f = Nonlinearity(eval=lambda t, x, u: np.exp(u),
+                         lipschitz_local=math.exp, coercivity_c=0.0)
+    prob = make_problem(dimension=1, horizon=0.5, nonlinearity=exp_f,
+                        data=builtin_constant_data(800.0))
+    for boundary in Boundary:
+        oracle = FdOracle1d(half_width=6.0, grid_points=21, dt=1e-3,
+                            boundary=boundary)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OracleError, match="blow-up"):
+                fd_solve_1d(prob, oracle, 0.01)
+
+
+# Mirror of fd_solve_1d at grid indices (0, J//4, J//2, J-1) and of
+# fd_refinement_gap, as float.hex: (f, datum, kappa, half_width, J, dt,
+# boundary, t, values, gap).  Pins the tridiagonal and Fourier solves bit
+# for bit; the high-d cosine_mean reference will rest on them.
+FD_MIRROR = [
+    ("allen_cahn", "cosine_mean", 2.0, 6.0, 201, 1e-4, Boundary.NEUMANN, 0.1,
+     ("0x1.60019d9bd92b6p+0", "-0x1.820b33de5d1b2p+0",
+      "0x1.84a391449db23p+0", "0x1.60019d9bd93fap+0"),
+     "0x1.580834fb16000p-13"),
+    ("sine", "gaussian_bump", 1.5, 6.0, 41, 5e-4, Boundary.NEUMANN, 0.25,
+     ("0x1.a4c8abb5d3f2ep-23", "0x1.054d56a678936p-6",
+      "0x1.4a813ff17a072p+0", "0x1.a4c8abb5d3f7fp-23"),
+     "0x1.420473b7ee200p-8"),
+    ("allen_cahn", "cosine_mean", 1.0, math.pi, 64, 5e-4, Boundary.PERIODIC,
+     0.25,
+     ("-0x1.aca57cecdacd0p-1", "0x1.97afabfb7856bp-49",
+      "0x1.aca57cecdacd0p-1", "-0x1.aae8d31b14ec5p-1"),
+     "0x1.2ffe898ee8800p-13"),
+    ("sine", "gaussian_bump", 1.5, 6.0, 200, 1e-4, Boundary.PERIODIC, 0.1,
+     ("0x1.8a295c28f5c29p-36", "0x1.2a752fbf08948p-9",
+      "0x1.5d18873f00d45p+0", "0x1.bce6b851eb852p-36"),
+     "0x1.944987ffbc000p-13"),
+]
+
+
+@pytest.mark.parametrize("case", FD_MIRROR, ids=lambda c: f"{c[0]}-{c[6].value}")
+def test_fd_hardcoded_mirror(case):
+    f, data, kappa, half_width, J, dt, boundary, t, values, gap = case
+    prob = make_problem(dimension=1, horizon=0.5,
+                        nonlinearity=builtin_nonlinearity(f),
+                        data=builtin_data(data, 1, kappa=kappa))
+    oracle = FdOracle1d(half_width=half_width, grid_points=J, dt=dt,
+                        boundary=boundary)
+    sol = fd_solve_1d(prob, oracle, t)
+    got = tuple(sol.values[i].hex() for i in (0, J // 4, J // 2, J - 1))
+    assert got == values
+    assert fd_refinement_gap(prob, oracle, t).hex() == gap
+
+
+def test_import_leaves_lapack_unloaded():
+    # only a Neumann FD solve imports scipy.linalg
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(pathlib.Path(mlpicard.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    code = ("import sys, mlpicard, mlpicard.cli; "
+            "print('scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 def test_fd_grid_geometry_and_interpolation():
