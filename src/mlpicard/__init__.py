@@ -12,8 +12,8 @@ grows polynomially in d and in 1/accuracy.  The package provides:
   * `estimate_forward` / `estimate_backward` / `estimate_batch`: the
     estimator itself, deterministic given (problem, parameters, seed),
     with an exact tally of every random draw and function evaluation.
-  * `problem`: problem definitions, built-in nonlinearities and data,
-    truncation schedules and sampled metadata diagnostics.
+  * `problem`: problem definitions, built-in nonlinearities and data
+    (addressable by name), and truncation schedules.
   * `bounds`: the L2 error bound, minimal truncation radius, cost model
     and closed-form cost bound, and accuracy-driven level selection.
   * `oracles`: independent low-dimensional references (ODE reduction,
@@ -36,8 +36,6 @@ from .bounds import (
     cost_recursion,
     cumulative_cost,
     error_bound,
-    error_bound_general,
-    radius_admissible,
     rho_min,
     select_levels,
     surrogate_constants,
@@ -89,7 +87,6 @@ from .problem import (
     builtin_nonlinearity,
     constant_schedule,
     default_schedule,
-    diagnose_schedule,
     eval_truncated_f,
     make_problem,
     truncate_value,
@@ -132,11 +129,9 @@ __all__ = [
     "cost_recursion",
     "cumulative_cost",
     "default_schedule",
-    "diagnose_schedule",
     "dimension_scaling",
     "epsilon_sweep",
     "error_bound",
-    "error_bound_general",
     "estimate_backward",
     "estimate_batch",
     "estimate_forward",
@@ -149,7 +144,6 @@ __all__ = [
     "max_principle_check",
     "ode_solve",
     "path_digest",
-    "radius_admissible",
     "rho_min",
     "rmse_vs_oracle",
     "select_levels",

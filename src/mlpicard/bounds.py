@@ -14,9 +14,9 @@ Everything here is closed-form arithmetic on declared constants:
     rho_m) <= eps, realized as a capped scan with a decreasing-tail check.
 
 Cost values are exact Python integers (arbitrary precision, so overflow
-cannot occur silently or otherwise).  The error bound is a theorem only for
-r >= rho_min; it is computed regardless and callers can test admissibility
-separately.
+cannot occur silently or otherwise); an a-priori bound that overflows a
+float raises OverflowError.  The error bound is a theorem only for
+r >= rho_min; it is computed regardless.
 """
 
 from __future__ import annotations
@@ -89,11 +89,17 @@ def surrogate_constants() -> BoundConstants:
 
 def apriori_sup_bound(c: float, kappa: float, elapsed: float) -> float:
     """Growth bound on the solution: e^{c * elapsed} (1 + kappa^2)^{1/2}."""
-    if c < 0.0 or kappa < 0.0:
-        raise ValueError("c and kappa must be >= 0")
+    if not (c >= 0.0 and kappa >= 0.0):
+        raise ValueError(f"c and kappa must be >= 0, got c={c}, kappa={kappa}")
     if elapsed < 0.0:
         raise ValueError(f"elapsed must be >= 0, got {elapsed}")
-    return math.exp(c * elapsed) * math.sqrt(1.0 + kappa * kappa)
+    bound = math.exp(c * elapsed) * math.sqrt(1.0 + kappa * kappa)
+    if not math.isfinite(bound):
+        raise OverflowError(
+            f"a-priori bound e^(c t) (1 + kappa^2)^(1/2) overflows at c={c}, "
+            f"kappa={kappa}, t={elapsed}"
+        )
+    return bound
 
 
 def rho_min(problem: PdeProblem) -> float:
@@ -109,15 +115,10 @@ def rho_min(problem: PdeProblem) -> float:
     )
 
 
-def radius_admissible(consts: BoundConstants, r: float) -> bool:
-    return r >= apriori_sup_bound(consts.coercivity_c, consts.kappa, consts.horizon)
-
-
 def error_bound(consts: BoundConstants, n: int, M: int, r: float) -> float:
     """L2 error bound for the level-n estimator with branching M, radius r.
 
-    A theorem only when r >= rho_min; computed unconditionally (use
-    radius_admissible to flag the gap).
+    A theorem only when r >= rho_min; computed unconditionally.
     """
     if n < 0 or M < 1:
         raise ValueError(f"need n >= 0 and M >= 1, got n={n}, M={M}")
@@ -127,33 +128,6 @@ def error_bound(consts: BoundConstants, n: int, M: int, r: float) -> float:
     T = consts.horizon
     prefactor = math.exp(L * T) * (consts.kappa + T * consts.f0_abs)
     return prefactor * math.exp(M / 2.0) * (1.0 + 2.0 * L * T) ** n * M ** (-n / 2.0)
-
-
-def error_bound_general(
-    lipschitz_L: float,
-    horizon: float,
-    n: int,
-    M: int,
-    g_moment_sqrt: float,
-    f0_moment_sqrt: float,
-) -> float:
-    """Error bound with user-supplied moment constants.
-
-    g_moment_sqrt is (E|g(X_{0,T,x})|^2)^{1/2}; f0_moment_sqrt is
-    (int_0^T E|f(s, X_{0,s,x}, 0)|^2 ds)^{1/2}.  Both are problem-specific
-    integrals no generic code can compute, so they are inputs.
-    """
-    if n < 0 or M < 1:
-        raise ValueError(f"need n >= 0 and M >= 1, got n={n}, M={M}")
-    pre = math.exp(lipschitz_L * horizon) * (
-        g_moment_sqrt + math.sqrt(horizon) * f0_moment_sqrt
-    )
-    return (
-        pre
-        * math.exp(M / 2.0)
-        * (1.0 + 2.0 * lipschitz_L * horizon) ** n
-        * M ** (-n / 2.0)
-    )
 
 
 def cost_recursion(d: int, n: int, M: int) -> int:

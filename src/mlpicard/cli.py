@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 Configuration lives in an INI-style file ("key = value" lines under
-[section] headers, '#' comments, UTF-8); runs with ~15 parameters do not
-fit on a command line.  The full grammar, with every key, type and
-default, is in the module constant CONFIG_GRAMMAR and printed by
-`mlpicard --help-config`.  Unknown sections or keys are rejected.
+[section] headers, '#' comments, UTF-8); runs with dozens of parameters
+do not fit on a command line.  CONFIG_KEYS declares each key once (section,
+RunConfig field, default, parser, help comment); the RunConfig defaults
+and the grammar text CONFIG_GRAMMAR, printed by `mlpicard --help-config`,
+are derived from it.  Unknown sections or keys are rejected.
 
 Exit codes (fixed contract for scripting):
     0   success
     2   configuration problem (bad file, bad key, bad value, bad ranges)
-    3   numeric failure (oracle blow-up, failed self-check, overflow)
+    3   numeric failure (oracle blow-up, failed self-check, overflow,
+        non-finite estimate or a-priori bound)
     4   level-selection cap exceeded
 
 Every subcommand honors --seed, --threads and --out; --threads (fallback:
@@ -28,7 +30,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -44,55 +46,7 @@ class ConfigError(Exception):
 
 # configuration -----------------------------------------------------------
 
-CONFIG_GRAMMAR = """\
-Configuration file grammar (INI style, '#' comments, all keys optional):
-
-[problem]
-dimension    = 1            # integer >= 1
-horizon      = 0.5          # T > 0
-orientation  = forward      # forward | backward
-nonlinearity = allen_cahn   # allen_cahn | linear | sine
-a            =              # coefficient, linear nonlinearity only
-data         = constant     # constant | cosine_mean | gaussian_bump
-value        = 2.0          # datum value, constant data only
-kappa        =              # datum amplitude, cosine_mean/gaussian_bump only
-
-[estimator]
-levels       = 1            # n >= 0
-n_list       =              # comma list, converge only (overrides levels)
-branching    = diagonal     # diagonal (M = n) | integer >= 1
-radius       =              # truncation radius override; default below
-schedule     = default      # default | constant:<r>; radius defaults to
-                            # max(schedule(n), rho_min(problem))
-repetitions  = 1            # K >= 1
-seed         = 0
-
-[evaluation]
-t            =              # default: horizon
-x            = 0            # scalar (broadcast) or comma list of length d
-
-[experiment]
-d_list       = 1,10,100     # scale and sweep
-n            = 3            # scale: fixed n = M
-epsilon_list = 0.5,0.25,0.125,0.0625,0.03125,0.015625
-delta        = 1.0          # sweep exponent offset, > 0
-k_offset     = 0            # extra levels accumulated past N(epsilon)
-n_max        = 64           # level-selection cap
-constants    = problem      # problem | surrogate (kappa=1, f0=0, T=1, L=0)
-
-[oracle]
-kind         = ode          # ode | fd
-u0           =              # ode initial value; default: constant datum
-h            =              # ode step; default horizon/1000
-times        =              # ode output ladder; default 5 evenly spaced
-half_width   = 6.0          # fd domain is [-half_width, half_width]
-grid_points  = 201
-dt           = 0.0001
-boundary     = neumann      # neumann | periodic
-"""
-
-
-def _parse_bool_choice(raw, choices, key):
+def _parse_choice(raw, choices, key):
     value = raw.strip().lower()
     if value not in choices:
         raise ConfigError(f"{key} must be one of {sorted(choices)}, got {raw!r}")
@@ -127,105 +81,135 @@ def _parse_float_list(raw, key):
         raise ConfigError(f"{key} must be a comma list of numbers, got {raw!r}") from None
 
 
+def _parse_word(raw, key):
+    return raw.strip()
+
+
 @dataclass(frozen=True)
-class RunConfig:
-    """Typed view of a configuration file; see CONFIG_GRAMMAR."""
+class ConfigKey:
+    """One config key: its section, RunConfig field, default and grammar line.
 
-    dimension: int = 1
-    horizon: float = 0.5
-    orientation: str = "forward"
-    nonlinearity: str = "allen_cahn"
-    a: Optional[float] = None
-    data: str = "constant"
-    value: float = 2.0
-    kappa: Optional[float] = None
+    ``default`` is the text the grammar shows; empty means unset (None),
+    otherwise the default value is ``parse`` applied to it.  ``parse`` is a
+    parser taking (raw, key) or a tuple of allowed words, which then also
+    open the help comment.  A newline in ``comment`` continues it on a line
+    of its own.  The RunConfig field is ``attr``, or ``key`` when unset.
+    """
 
-    levels: int = 1
-    n_list: Optional[tuple] = None
-    branching: str = "diagonal"
-    radius: Optional[float] = None
-    schedule: str = "default"
-    repetitions: int = 1
-    seed: int = 0
+    section: str
+    key: str
+    default: str
+    parse: object
+    comment: str = ""
+    attr: str = ""
 
-    t: Optional[float] = None
-    x: tuple = (0.0,)
+    @property
+    def field_name(self) -> str:
+        return self.attr or self.key
 
-    d_list: tuple = (1, 10, 100)
-    n: int = 3
-    epsilon_list: tuple = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
-    delta: float = 1.0
-    k_offset: int = 0
-    n_max: int = 64
-    constants: str = "problem"
+    def parse_value(self, raw: str):
+        where = f"[{self.section}] {self.key}"
+        if isinstance(self.parse, tuple):
+            return _parse_choice(raw, self.parse, where)
+        return self.parse(raw, where)
 
-    oracle_kind: str = "ode"
-    u0: Optional[float] = None
-    h: Optional[float] = None
-    times: Optional[tuple] = None
-    half_width: float = 6.0
-    grid_points: int = 201
-    dt: float = 1e-4
-    boundary: str = "neumann"
+    @property
+    def default_value(self):
+        return self.parse_value(self.default) if self.default else None
+
+    def grammar_line(self) -> str:
+        comment = self.comment
+        if isinstance(self.parse, tuple):
+            comment = " ".join(filter(None, (" | ".join(self.parse), comment)))
+        if not comment:
+            return f"{self.key:<13}= {self.default}"
+        comment = comment.replace("\n", "\n" + " " * 28 + "# ")
+        return f"{self.key:<13}= {self.default:<13}# {comment}"
 
 
-# (section, key) -> (attribute, parser); parser takes (raw, key)
-_SCHEMA = {
-    ("problem", "dimension"): ("dimension", _parse_int),
-    ("problem", "horizon"): ("horizon", _parse_float),
-    ("problem", "orientation"): (
-        "orientation",
-        lambda raw, key: _parse_bool_choice(raw, {"forward", "backward"}, key),
-    ),
-    ("problem", "nonlinearity"): (
-        "nonlinearity",
-        lambda raw, key: _parse_bool_choice(raw, {"allen_cahn", "linear", "sine"}, key),
-    ),
-    ("problem", "a"): ("a", _parse_float),
-    ("problem", "data"): (
-        "data",
-        lambda raw, key: _parse_bool_choice(
-            raw, {"constant", "cosine_mean", "gaussian_bump"}, key
-        ),
-    ),
-    ("problem", "value"): ("value", _parse_float),
-    ("problem", "kappa"): ("kappa", _parse_float),
-    ("estimator", "levels"): ("levels", _parse_int),
-    ("estimator", "n_list"): ("n_list", _parse_int_list),
-    ("estimator", "branching"): ("branching", lambda raw, key: raw.strip()),
-    ("estimator", "radius"): ("radius", _parse_float),
-    ("estimator", "schedule"): ("schedule", lambda raw, key: raw.strip()),
-    ("estimator", "repetitions"): ("repetitions", _parse_int),
-    ("estimator", "seed"): ("seed", _parse_int),
-    ("evaluation", "t"): ("t", _parse_float),
-    ("evaluation", "x"): ("x", _parse_float_list),
-    ("experiment", "d_list"): ("d_list", _parse_int_list),
-    ("experiment", "n"): ("n", _parse_int),
-    ("experiment", "epsilon_list"): ("epsilon_list", _parse_float_list),
-    ("experiment", "delta"): ("delta", _parse_float),
-    ("experiment", "k_offset"): ("k_offset", _parse_int),
-    ("experiment", "n_max"): ("n_max", _parse_int),
-    ("experiment", "constants"): (
-        "constants",
-        lambda raw, key: _parse_bool_choice(raw, {"problem", "surrogate"}, key),
-    ),
-    ("oracle", "kind"): (
-        "oracle_kind",
-        lambda raw, key: _parse_bool_choice(raw, {"ode", "fd"}, key),
-    ),
-    ("oracle", "u0"): ("u0", _parse_float),
-    ("oracle", "h"): ("h", _parse_float),
-    ("oracle", "times"): ("times", _parse_float_list),
-    ("oracle", "half_width"): ("half_width", _parse_float),
-    ("oracle", "grid_points"): ("grid_points", _parse_int),
-    ("oracle", "dt"): ("dt", _parse_float),
-    ("oracle", "boundary"): (
-        "boundary",
-        lambda raw, key: _parse_bool_choice(raw, {"neumann", "periodic"}, key),
-    ),
-}
+_ORIENTATIONS = tuple(o.value for o in Orientation)
+_BOUNDARIES = tuple(b.value for b in oracles.Boundary)
 
-_SECTIONS = sorted({section for section, _ in _SCHEMA})
+CONFIG_KEYS = (
+    ConfigKey("problem", "dimension", "1", _parse_int, "integer >= 1"),
+    ConfigKey("problem", "horizon", "0.5", _parse_float, "T > 0"),
+    ConfigKey("problem", "orientation", "forward", _ORIENTATIONS),
+    ConfigKey("problem", "nonlinearity", "allen_cahn",
+              problem_mod.NONLINEARITY_NAMES),
+    ConfigKey("problem", "a", "", _parse_float,
+              "coefficient, linear nonlinearity only"),
+    ConfigKey("problem", "data", "constant", problem_mod.DATA_NAMES),
+    ConfigKey("problem", "value", "2.0", _parse_float,
+              "datum value, constant data only"),
+    ConfigKey("problem", "kappa", "", _parse_float,
+              "datum amplitude, cosine_mean/gaussian_bump only"),
+    ConfigKey("estimator", "levels", "1", _parse_int, "n >= 0"),
+    ConfigKey("estimator", "n_list", "", _parse_int_list,
+              "comma list, converge only (overrides levels)"),
+    ConfigKey("estimator", "branching", "diagonal", _parse_word,
+              "diagonal (M = n) | integer >= 1"),
+    ConfigKey("estimator", "radius", "", _parse_float,
+              "truncation radius override; default below"),
+    ConfigKey("estimator", "schedule", "default", _parse_word,
+              "default | constant:<r>; radius defaults to\n"
+              "max(schedule(n), rho_min(problem))"),
+    ConfigKey("estimator", "repetitions", "1", _parse_int, "K >= 1"),
+    ConfigKey("estimator", "seed", "0", _parse_int),
+    ConfigKey("evaluation", "t", "", _parse_float, "default: horizon"),
+    ConfigKey("evaluation", "x", "0", _parse_float_list,
+              "scalar (broadcast) or comma list of length d"),
+    ConfigKey("experiment", "d_list", "1,10,100", _parse_int_list,
+              "scale and sweep"),
+    ConfigKey("experiment", "n", "3", _parse_int, "scale: fixed n = M"),
+    ConfigKey("experiment", "epsilon_list",
+              "0.5,0.25,0.125,0.0625,0.03125,0.015625", _parse_float_list),
+    ConfigKey("experiment", "delta", "1.0", _parse_float,
+              "sweep exponent offset, > 0"),
+    ConfigKey("experiment", "k_offset", "0", _parse_int,
+              "extra levels accumulated past N(epsilon)"),
+    ConfigKey("experiment", "n_max", "64", _parse_int,
+              "level-selection cap"),
+    ConfigKey("experiment", "constants", "problem",
+              ("problem", "surrogate"), "(kappa=1, f0=0, T=1, L=0)"),
+    ConfigKey("oracle", "kind", "ode", ("ode", "fd"), attr="oracle_kind"),
+    ConfigKey("oracle", "u0", "", _parse_float,
+              "ode initial value; default: constant datum"),
+    ConfigKey("oracle", "h", "", _parse_float, "ode step; default horizon/1000"),
+    ConfigKey("oracle", "times", "", _parse_float_list,
+              "ode output ladder; default 5 evenly spaced"),
+    ConfigKey("oracle", "half_width", "6.0", _parse_float,
+              "fd domain is [-half_width, half_width]"),
+    ConfigKey("oracle", "grid_points", "201", _parse_int),
+    ConfigKey("oracle", "dt", "0.0001", _parse_float),
+    ConfigKey("oracle", "boundary", "neumann", _BOUNDARIES),
+)
+
+_SCHEMA = {(k.section, k.key): k for k in CONFIG_KEYS}
+_SECTIONS = sorted({k.section for k in CONFIG_KEYS})
+
+
+def _grammar() -> str:
+    lines = ["Configuration file grammar (INI style, '#' comments, "
+             "all keys optional):"]
+    section = None
+    for k in CONFIG_KEYS:
+        if k.section != section:
+            section = k.section
+            lines += ["", f"[{section}]"]
+        lines.append(k.grammar_line())
+    return "\n".join(lines) + "\n"
+
+
+CONFIG_GRAMMAR = _grammar()
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(k.field_name, Any, dataclasses.field(default=k.default_value))
+     for k in CONFIG_KEYS],
+    frozen=True,
+)
+RunConfig.__module__ = __name__
+RunConfig.__doc__ = "Typed view of a configuration file; one field per CONFIG_KEYS row."
 
 
 def parse_config(text: str) -> RunConfig:
@@ -245,13 +229,13 @@ def parse_config(text: str) -> RunConfig:
             )
         for key, raw in parser.items(section):
             try:
-                attr, value_parser = _SCHEMA[(section, key)]
+                spec = _SCHEMA[(section, key)]
             except KeyError:
                 known = sorted(k for (s, k) in _SCHEMA if s == section)
                 raise ConfigError(
                     f"unknown key {key!r} in [{section}]; known: {known}"
                 ) from None
-            updates[attr] = value_parser(raw, f"[{section}] {key}")
+            updates[spec.field_name] = spec.parse_value(raw)
     return dataclasses.replace(RunConfig(), **updates)
 
 
@@ -269,11 +253,11 @@ def serialize_config(config: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) == c."""
     out = io.StringIO()
     for section in _SECTIONS:
-        keys = [(key, attr) for (sec, key), (attr, _) in _SCHEMA.items()
-                if sec == section]
         lines = []
-        for key, attr in sorted(keys):
-            value = getattr(config, attr)
+        for (sec, key), spec in sorted(_SCHEMA.items()):
+            if sec != section:
+                continue
+            value = getattr(config, spec.field_name)
             if value is None:
                 continue
             if isinstance(value, tuple):
@@ -309,13 +293,11 @@ def build_problem(config: RunConfig) -> PdeProblem:
             raise ConfigError(f"{config.data} data needs [problem] kappa")
         data = problem_mod.builtin_data(config.data, config.dimension,
                                         kappa=config.kappa)
-    orientation = (Orientation.FORWARD if config.orientation == "forward"
-                   else Orientation.BACKWARD)
     try:
         return problem_mod.make_problem(
             dimension=config.dimension,
             horizon=config.horizon,
-            orientation=orientation,
+            orientation=Orientation(config.orientation),
             nonlinearity=nl,
             data=data,
         )
@@ -410,6 +392,8 @@ def cmd_estimate(config: RunConfig, out: Optional[str], threads: int) -> int:
         raise ConfigError(str(exc)) from None
     values = np.array([res.value for res in results])
     mean = float(values.mean())
+    if not math.isfinite(mean):
+        raise ArithmeticError(f"the estimate is not finite: mean {mean!r}")
     se = float(values.std(ddof=1) / math.sqrt(K)) if K > 1 else float("nan")
     tally = results[0].tally
     model = bounds.cost_recursion(prob.dimension, config.levels, M)
@@ -517,8 +501,7 @@ def cmd_oracle(config: RunConfig, out: Optional[str], threads: int) -> int:
     fd = oracles.FdOracle1d(
         half_width=config.half_width, grid_points=config.grid_points,
         dt=config.dt,
-        boundary=(oracles.Boundary.NEUMANN if config.boundary == "neumann"
-                  else oracles.Boundary.PERIODIC),
+        boundary=oracles.Boundary(config.boundary),
     )
     t = prob.horizon if config.t is None else config.t
     try:

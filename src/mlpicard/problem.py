@@ -28,8 +28,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .randomness import NodeId
-
 
 class Orientation(enum.Enum):
     FORWARD = "forward"
@@ -62,7 +60,7 @@ class DataFunction:
     """Bounded datum with its declared sup bound kappa.
 
     kappa enters the error constants; no finite sample can compute a true
-    supremum, so it is declared, and invariant checks only spot-verify it.
+    supremum, so it is declared (finite and >= 0), never measured.
     ``eval(x)`` gets one block of rows x (B, d) at a time, with B set by the
     estimator's tiling, and returns (B,); it must treat the rows
     independently, so that no value depends on how they are blocked.
@@ -74,8 +72,10 @@ class DataFunction:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.sup_bound_kappa < 0.0:
-            raise ValueError(f"sup_bound_kappa must be >= 0, got {self.sup_bound_kappa}")
+        if not 0.0 <= self.sup_bound_kappa < math.inf:
+            raise ValueError(
+                f"sup_bound_kappa must be finite and >= 0, got {self.sup_bound_kappa}"
+            )
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,8 @@ def builtin_allen_cahn() -> Nonlinearity:
 
 def builtin_linear(a: float) -> Nonlinearity:
     """f(u) = a*u; L(r) = |a|, c = max(a, 0)."""
+    if not math.isfinite(a):
+        raise ValueError(f"linear coefficient a must be finite, got {a}")
     return Nonlinearity(
         eval=lambda t, x, u: a * u,
         lipschitz_local=lambda r: abs(a),
@@ -186,22 +188,6 @@ def builtin_sine() -> Nonlinearity:
         f_at_zero=0.0,
         name="sine",
     )
-
-
-def builtin_nonlinearity(name: str, **params) -> Nonlinearity:
-    if name == "allen_cahn":
-        _reject_params("allen_cahn", params)
-        return builtin_allen_cahn()
-    if name == "linear":
-        a = params.pop("a", None)
-        _reject_params("linear", params)
-        if a is None:
-            raise ValueError("linear nonlinearity needs parameter a")
-        return builtin_linear(float(a))
-    if name == "sine":
-        _reject_params("sine", params)
-        return builtin_sine()
-    raise ValueError(f"unknown nonlinearity {name!r}; known: allen_cahn, linear, sine")
 
 
 # built-in data functions
@@ -241,33 +227,41 @@ def builtin_gaussian_bump_data(kappa: float, dimension: int) -> DataFunction:
     return DataFunction(eval=_eval, sup_bound_kappa=abs(kappa), name="gaussian_bump")
 
 
+# name -> (required parameter or None, builder): the names config files use
+_NONLINEARITIES = {
+    "allen_cahn": (None, builtin_allen_cahn),
+    "linear": ("a", builtin_linear),
+    "sine": (None, builtin_sine),
+}
+_DATA = {
+    "constant": ("value", lambda value, dimension: builtin_constant_data(value)),
+    "cosine_mean": ("kappa", builtin_cosine_mean_data),
+    "gaussian_bump": ("kappa", builtin_gaussian_bump_data),
+}
+NONLINEARITY_NAMES = tuple(_NONLINEARITIES)
+DATA_NAMES = tuple(_DATA)
+
+
+def builtin_nonlinearity(name: str, **params) -> Nonlinearity:
+    return _build_builtin("nonlinearity", _NONLINEARITIES, name, params)
+
+
 def builtin_data(name: str, dimension: int, **params) -> DataFunction:
-    if name == "constant":
-        value = params.pop("value", None)
-        _reject_params("constant", params)
-        if value is None:
-            raise ValueError("constant data needs parameter value")
-        return builtin_constant_data(float(value))
-    if name == "cosine_mean":
-        kappa = params.pop("kappa", None)
-        _reject_params("cosine_mean", params)
-        if kappa is None:
-            raise ValueError("cosine_mean data needs parameter kappa")
-        return builtin_cosine_mean_data(float(kappa), dimension)
-    if name == "gaussian_bump":
-        kappa = params.pop("kappa", None)
-        _reject_params("gaussian_bump", params)
-        if kappa is None:
-            raise ValueError("gaussian_bump data needs parameter kappa")
-        return builtin_gaussian_bump_data(float(kappa), dimension)
-    raise ValueError(
-        f"unknown data function {name!r}; known: constant, cosine_mean, gaussian_bump"
-    )
+    return _build_builtin("data", _DATA, name, params, dimension)
 
 
-def _reject_params(name, params):
+def _build_builtin(kind, registry, name, params, *args):
+    if name not in registry:
+        raise ValueError(f"unknown {kind} {name!r}; known: {', '.join(registry)}")
+    param, build = registry[name]
+    value = params.pop(param, None) if param else None
     if params:
         raise ValueError(f"unexpected parameters for {name}: {sorted(params)}")
+    if param is None:
+        return build(*args)
+    if value is None:
+        raise ValueError(f"{name} {kind} needs parameter {param}")
+    return build(float(value), *args)
 
 
 def make_problem(
@@ -290,109 +284,3 @@ def make_problem(
         data=data,
     )
 
-
-# sampled diagnostics: spot checks of the declared metadata, never proofs
-
-
-@dataclass(frozen=True)
-class ScheduleDiagnostic:
-    """Finite-window proxy for schedule admissibility.
-
-    The theory needs L(rho_n)/ln(n) -> 0 and rho_n -> infinity; no finite
-    window can verify a limit, so this reports monotonicity trends on
-    [2, n_max] and is labeled a proxy.
-    """
-
-    window: tuple[int, int]
-    radii_nondecreasing: bool
-    ratio_nonincreasing: bool
-    proxy: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return self.radii_nondecreasing and self.ratio_nonincreasing
-
-
-def diagnose_schedule(
-    schedule: TruncationSchedule,
-    lipschitz_local: Callable[[float], float],
-    n_max: int = 64,
-) -> ScheduleDiagnostic:
-    levels = range(2, n_max + 1)
-    radii = [schedule.radius_at(n) for n in levels]
-    ratios = [lipschitz_local(r) / math.log(n) for n, r in zip(levels, radii)]
-    eps = 1e-12
-    nondec = all(b >= a - eps for a, b in zip(radii, radii[1:]))
-    noninc = all(b <= a + eps for a, b in zip(ratios, ratios[1:]))
-    return ScheduleDiagnostic(
-        window=(2, n_max),
-        radii_nondecreasing=nondec,
-        ratio_nonincreasing=noninc,
-    )
-
-
-def sampled_lipschitz(
-    nl: Nonlinearity,
-    r: float,
-    dimension: int = 1,
-    samples: int = 512,
-    seed: int = 0,
-    t_range: tuple[float, float] = (0.0, 1.0),
-    x_scale: float = 1.0,
-) -> float:
-    """Sampled sup of |f(t,x,v)-f(t,x,w)| / |v-w| over [-r, r] pairs.
-
-    Diagnostic only: a sampled estimate never certifies a Lipschitz constant.
-    """
-    node = NodeId((90001,))
-    us = _probe_uniforms(node, seed, samples * (dimension + 3))
-    us = us.reshape(samples, dimension + 3)
-    t0, t1 = t_range
-    t = t0 + (t1 - t0) * us[:, 0]
-    x = x_scale * (2.0 * us[:, 1 : dimension + 1] - 1.0)
-    v = r * (2.0 * us[:, dimension + 1] - 1.0)
-    w = r * (2.0 * us[:, dimension + 2] - 1.0)
-    gap = np.abs(v - w)
-    keep = gap > 1e-9
-    fv = nl.eval(t[keep], x[keep], v[keep])
-    fw = nl.eval(t[keep], x[keep], w[keep])
-    return float(np.max(np.abs(fv - fw) / gap[keep]))
-
-
-def check_coercivity(
-    nl: Nonlinearity,
-    dimension: int = 1,
-    samples: int = 512,
-    seed: int = 0,
-    v_scale: float = 10.0,
-    t_range: tuple[float, float] = (0.0, 1.0),
-    x_scale: float = 1.0,
-) -> bool:
-    """Spot check v*f(t,x,v) <= c(1+v^2) on a random grid."""
-    node = NodeId((90002,))
-    us = _probe_uniforms(node, seed, samples * (dimension + 2))
-    us = us.reshape(samples, dimension + 2)
-    t0, t1 = t_range
-    t = t0 + (t1 - t0) * us[:, 0]
-    x = x_scale * (2.0 * us[:, 1 : dimension + 1] - 1.0)
-    v = v_scale * (2.0 * us[:, dimension + 1] - 1.0)
-    lhs = v * nl.eval(t, x, v)
-    rhs = nl.coercivity_c * (1.0 + v * v)
-    return bool(np.all(lhs <= rhs + 1e-9))
-
-
-def check_data_bound(data: DataFunction, dimension: int, samples: int = 512,
-                     seed: int = 0, x_scale: float = 10.0) -> bool:
-    """Spot check |g(x)| <= kappa on a random grid."""
-    node = NodeId((90003,))
-    us = _probe_uniforms(node, seed, samples * dimension).reshape(samples, dimension)
-    x = x_scale * (2.0 * us - 1.0)
-    vals = data.eval(x)
-    return bool(np.all(np.abs(vals) <= data.sup_bound_kappa + 1e-9))
-
-
-def _probe_uniforms(node: NodeId, seed: int, count: int) -> np.ndarray:
-    from .randomness import path_digest, uniforms_vec
-
-    digest = np.uint64(path_digest(seed, node.path))
-    return uniforms_vec(digest, np.arange(count))

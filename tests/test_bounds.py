@@ -15,8 +15,6 @@ from mlpicard.bounds import (
     cost_recursion,
     cumulative_cost,
     error_bound,
-    error_bound_general,
-    radius_admissible,
     rho_min,
     select_levels,
     surrogate_constants,
@@ -30,6 +28,11 @@ def test_apriori_sup_bound_values():
                         math.exp(0.5) * math.sqrt(5.0))
     assert abs(apriori_sup_bound(1.0, 2.0, 0.5) - 3.6867) < 1e-3
     assert apriori_sup_bound(1.0, 3.0, 0.0) == math.sqrt(10.0)
+    # kappa^2 overflows a float: an error, not an infinite radius
+    with pytest.raises(OverflowError):
+        apriori_sup_bound(1.0, 1e200, 0.5)
+    with pytest.raises(ValueError):
+        apriori_sup_bound(1.0, math.nan, 0.5)
 
 
 def test_rho_min_values():
@@ -37,9 +40,6 @@ def test_rho_min_values():
     assert math.isclose(rho_min(prob), math.exp(0.5) * math.sqrt(5.0))
     longer = make_problem(dimension=1, horizon=1.0)
     assert rho_min(longer) >= rho_min(prob)
-    assert radius_admissible(BoundConstants.from_problem(prob), rho_min(prob))
-    assert not radius_admissible(BoundConstants.from_problem(prob),
-                                 0.5 * rho_min(prob))
 
 
 def test_error_bound_surrogate_values():
@@ -63,19 +63,6 @@ def test_error_bound_allen_cahn_form():
     expected = (math.exp(L * 0.5) * (2.0 + 0.5 * 0.0) * math.exp(M / 2.0)
                 * (1.0 + 2.0 * L * 0.5) ** n * M ** (-n / 2.0))
     assert math.isclose(error_bound(consts, n, M, r), expected)
-
-
-def test_error_bound_general_matches_primary_reduction():
-    # with g-moment = kappa and f0-moment = sqrt(T)*|f0| the general form
-    # reproduces the constant-based bound
-    consts = surrogate_constants()
-    for n, M in ((0, 1), (2, 3), (5, 5)):
-        primary = error_bound(consts, n, M, 1.0)
-        general = error_bound_general(
-            lipschitz_L=0.0, horizon=1.0, n=n, M=M,
-            g_moment_sqrt=1.0, f0_moment_sqrt=0.0,
-        )
-        assert math.isclose(primary, general)
 
 
 def test_cost_recursion_hand_values():

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from mlpicard.cli import (
-    CONFIG_GRAMMAR,
     ConfigError,
     RunConfig,
     main,
@@ -56,10 +55,58 @@ def test_config_rejects_unknown_key_and_section():
         parse_config("[problem]\ndimension = banana\n")
 
 
+HELP_CONFIG = """\
+Configuration file grammar (INI style, '#' comments, all keys optional):
+
+[problem]
+dimension    = 1            # integer >= 1
+horizon      = 0.5          # T > 0
+orientation  = forward      # forward | backward
+nonlinearity = allen_cahn   # allen_cahn | linear | sine
+a            =              # coefficient, linear nonlinearity only
+data         = constant     # constant | cosine_mean | gaussian_bump
+value        = 2.0          # datum value, constant data only
+kappa        =              # datum amplitude, cosine_mean/gaussian_bump only
+
+[estimator]
+levels       = 1            # n >= 0
+n_list       =              # comma list, converge only (overrides levels)
+branching    = diagonal     # diagonal (M = n) | integer >= 1
+radius       =              # truncation radius override; default below
+schedule     = default      # default | constant:<r>; radius defaults to
+                            # max(schedule(n), rho_min(problem))
+repetitions  = 1            # K >= 1
+seed         = 0
+
+[evaluation]
+t            =              # default: horizon
+x            = 0            # scalar (broadcast) or comma list of length d
+
+[experiment]
+d_list       = 1,10,100     # scale and sweep
+n            = 3            # scale: fixed n = M
+epsilon_list = 0.5,0.25,0.125,0.0625,0.03125,0.015625
+delta        = 1.0          # sweep exponent offset, > 0
+k_offset     = 0            # extra levels accumulated past N(epsilon)
+n_max        = 64           # level-selection cap
+constants    = problem      # problem | surrogate (kappa=1, f0=0, T=1, L=0)
+
+[oracle]
+kind         = ode          # ode | fd
+u0           =              # ode initial value; default: constant datum
+h            =              # ode step; default horizon/1000
+times        =              # ode output ladder; default 5 evenly spaced
+half_width   = 6.0          # fd domain is [-half_width, half_width]
+grid_points  = 201
+dt           = 0.0001
+boundary     = neumann      # neumann | periodic
+"""
+
+
 def test_help_config_prints_grammar(capsys):
     code, out, _ = run(capsys, "--help-config")
     assert code == 0
-    assert out == CONFIG_GRAMMAR
+    assert out == HELP_CONFIG
 
 
 # exit codes ------------------------------------------------------------------
@@ -102,6 +149,12 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     "[evaluation]\nx = nan\n",
     "[problem]\ndata = cosine_mean\nkappa = 1.0\n[evaluation]\nx = inf\n",
     "[problem]\nhorizon = inf\n",
+    *(f"[problem]\ndimension = 2\nhorizon = 0.5\n{problem}"
+      "[estimator]\nlevels = 2\nrepetitions = 3\n"
+      for problem in ("value = inf\n", "value = nan\n",
+                      "data = cosine_mean\nkappa = inf\n",
+                      "nonlinearity = linear\na = inf\n",
+                      "nonlinearity = linear\na = nan\n")),
 ])
 def test_non_finite_input_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "nonfinite.ini"
@@ -156,6 +209,24 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
                        "--out", str(tmp_path / "x.csv"))
     assert code == 3
     assert "numeric failure" in err
+
+
+@pytest.mark.parametrize("text", [
+    # kappa^2 overflows the a-priori bound behind the default radius
+    "[problem]\ndimension = 2\nhorizon = 0.5\nvalue = 1e200\n"
+    "[estimator]\nlevels = 2\nrepetitions = 3\n",
+    # explicit radius, so the estimate itself overflows to nan
+    "[problem]\ndimension = 2\nhorizon = 1.0\nnonlinearity = linear\n"
+    "a = 1e308\nvalue = 1e308\n"
+    "[estimator]\nlevels = 3\nrepetitions = 4\nradius = 1e308\n",
+])
+def test_overflow_exits_3(tmp_path, capsys, text):
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "estimate", "--config", str(cfg))
+    assert code == 3
+    assert "numeric failure" in err
+    assert "value_mean" not in out
 
 
 def test_cap_exceeded_exits_4(tmp_path, capsys):

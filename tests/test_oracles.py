@@ -26,6 +26,7 @@ from mlpicard.oracles import (
     ode_solve,
 )
 from mlpicard.problem import (
+    DataFunction,
     Nonlinearity,
     builtin_constant_data,
     builtin_data,
@@ -174,9 +175,10 @@ def test_fd_degenerate_grid_or_datum_is_value_error():
         tiny = FdOracle1d(half_width=1e-160, grid_points=J, dt=1e-4)
         with pytest.raises(ValueError, match="dt/dx"):
             fd_solve_1d(prob, tiny, 0.1)
-    nan_datum = make_problem(dimension=1, horizon=0.5,
-                             data=builtin_data("cosine_mean", 1,
-                                               kappa=math.nan))
+    # builtins reject a non-finite kappa, so declare a finite one that lies
+    nan_datum = make_problem(dimension=1, horizon=0.5, data=DataFunction(
+        eval=lambda x: np.full(np.asarray(x).shape[:-1], math.nan),
+        sup_bound_kappa=1.0))
     for boundary in Boundary:
         oracle = dataclasses.replace(FD, boundary=boundary)
         with pytest.raises(ValueError, match="datum"):

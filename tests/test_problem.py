@@ -1,4 +1,4 @@
-"""Problem definitions, clamp semantics, schedules, sampled diagnostics."""
+"""Problem definitions, clamp semantics, schedules, metadata grid checks."""
 
 import math
 
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlpicard.problem import (
+    DataFunction,
     Orientation,
     PdeProblem,
     TruncationSchedule,
@@ -16,14 +17,10 @@ from mlpicard.problem import (
     builtin_linear,
     builtin_nonlinearity,
     builtin_sine,
-    check_coercivity,
-    check_data_bound,
     constant_schedule,
     default_schedule,
-    diagnose_schedule,
     eval_truncated_f,
     make_problem,
-    sampled_lipschitz,
     truncate_value,
 )
 
@@ -71,6 +68,9 @@ def test_nonlinearity_registry():
         builtin_nonlinearity("allen_cahn", a=1.0)  # stray parameter
     with pytest.raises(ValueError):
         builtin_nonlinearity("cubic")
+    for a in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            builtin_nonlinearity("linear", a=a)
 
 
 def test_data_registry():
@@ -83,6 +83,11 @@ def test_data_registry():
         builtin_data("cosine_mean", 3, kappa=1.0, extra=1)
     with pytest.raises(ValueError):
         builtin_data("mystery", 3)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            builtin_data("constant", 3, value=bad)
+        with pytest.raises(ValueError, match="finite"):
+            builtin_data("gaussian_bump", 3, kappa=bad)
 
 
 def test_cosine_and_bump_respect_kappa():
@@ -187,36 +192,60 @@ def test_problem_validation():
     assert isinstance(prob, PdeProblem)
 
 
+# grid checks of each builtin's declared metadata
+
+METADATA_NONLINEARITIES = (
+    ("allen_cahn", {}), ("linear", {"a": -0.5}), ("linear", {"a": 2.0}),
+    ("sine", {}),
+)
+
+
 def test_diagnose_default_schedule():
-    nl = builtin_allen_cahn()
-    diag = diagnose_schedule(default_schedule(), nl.lipschitz_local)
-    assert diag.proxy
-    assert diag.radii_nondecreasing
-    assert diag.ratio_nonincreasing
-    assert diag.ok
+    # finite-window proxy for the schedule conditions rho_n -> infinity and
+    # L(rho_n) / ln(n) -> 0: both trends hold on [2, 64] for every builtin
+    sched = default_schedule()
+    levels = range(2, 65)
+    radii = [sched.radius_at(n) for n in levels]
+    assert all(b >= a for a, b in zip(radii, radii[1:]))
+    for name, params in METADATA_NONLINEARITIES:
+        L = builtin_nonlinearity(name, **params).lipschitz_local
+        ratios = [L(r) / math.log(n) for n, r in zip(levels, radii)]
+        assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:])), name
 
 
 def test_sampled_lipschitz_below_declared():
-    nl = builtin_allen_cahn()
-    for r in (0.5, 1.0, 3.0):
-        sampled = sampled_lipschitz(nl, r, dimension=2)
-        assert sampled <= nl.lipschitz_local(r) + 1e-9
+    # |f(v) - f(w)| <= L(r) |v - w| for all pairs of a 201-point grid on [-r, r]
+    for name, params in METADATA_NONLINEARITIES:
+        nl = builtin_nonlinearity(name, **params)
+        for r in (0.5, 1.0, 3.0):
+            grid = np.linspace(-r, r, 201)
+            f = nl.eval(np.zeros(grid.size), np.zeros((grid.size, 1)), grid)
+            gap = np.abs(grid[:, None] - grid[None, :])
+            lhs = np.abs(f[:, None] - f[None, :])
+            bound = nl.lipschitz_local(r) * gap * (1.0 + 1e-12) + 1e-12
+            assert np.all(lhs <= bound), (name, params, r)
+
+
+def _within_kappa(data, dimension):
+    """|g| <= kappa on a grid of [-10, 10]^d (21 points per axis, 2001 at d = 1)."""
+    axis = np.linspace(-10.0, 10.0, 2001 if dimension == 1 else 21)
+    x = np.stack(np.meshgrid(*[axis] * dimension), axis=-1).reshape(-1, dimension)
+    return bool(np.all(np.abs(data.eval(x)) <= data.sup_bound_kappa))
 
 
 def test_check_coercivity_and_data_bound():
-    nl = builtin_allen_cahn()
-    assert check_coercivity(nl, dimension=2)
-    data = builtin_data("cosine_mean", 3, kappa=2.0)
-    assert check_data_bound(data, dimension=3)
-
-
-def test_check_data_bound_catches_lying_kappa():
-    from mlpicard.problem import DataFunction
-
-    liar = DataFunction(
-        eval=lambda x: np.full(np.asarray(x).shape[:-1], 5.0),
-        sup_bound_kappa=1.0,
-        constant_value=5.0,
-        name="liar",
-    )
-    assert not check_data_bound(liar, dimension=2)
+    v = np.linspace(-10.0, 10.0, 2001)
+    for name, params in METADATA_NONLINEARITIES:
+        nl = builtin_nonlinearity(name, **params)
+        fv = nl.eval(np.zeros(v.size), np.zeros((v.size, 1)), v)
+        assert np.all(v * fv <= nl.coercivity_c * (1.0 + v * v) + 1e-9), name
+    for name, param in (("constant", "value"), ("cosine_mean", "kappa"),
+                        ("gaussian_bump", "kappa")):
+        for d in (1, 3):
+            for amplitude in (-1.5, 2.0):
+                data = builtin_data(name, d, **{param: amplitude})
+                assert _within_kappa(data, d), (name, d, amplitude)
+    # the grid check catches a datum whose declared kappa is too small
+    liar = DataFunction(eval=lambda x: np.full(np.asarray(x).shape[:-1], 5.0),
+                        sup_bound_kappa=1.0)
+    assert not _within_kappa(liar, 2)
