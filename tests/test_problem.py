@@ -245,7 +245,10 @@ def test_check_coercivity_and_data_bound():
             for amplitude in (-1.5, 2.0):
                 data = builtin_data(name, d, **{param: amplitude})
                 assert _within_kappa(data, d), (name, d, amplitude)
-    # the grid check catches a datum whose declared kappa is too small
+
+
+def test_check_data_bound_catches_lying_kappa():
+    # the grid check flags a datum whose declared kappa is too small
     liar = DataFunction(eval=lambda x: np.full(np.asarray(x).shape[:-1], 5.0),
                         sup_bound_kappa=1.0)
     assert not _within_kappa(liar, 2)
