@@ -32,9 +32,13 @@ inner m-sums fold into the lane axis of the recursive calls.  Each pass
 over the (lane, m) pairs of one level draws, smears and evaluates their
 d-vectors in tiles of at most ``_TILE`` float64 elements, and only the
 scalar results are kept whole, so memory grows with the levels and not
-with M^n * d.  Results are a pure function of (seed, node path, counter):
-every lane and every row is computed on its own, so tiles, chunks and
-thread counts cannot change a value, a tally or a recorded entry.
+with M^n * d.  The smear x + sqrt(vs * elapsed) * Z takes the standard
+deviation of each (lane, m) pair, computed once per level before the
+tiles; the level-0 data samples of a lane share one elapsed time (its
+outer factor), so they take one square root per lane.  Results are a pure
+function of (seed, node path, counter): every lane and every row is
+computed on its own, so tiles, chunks and thread counts cannot change a
+value, a tally or a recorded entry.
 """
 
 from __future__ import annotations
@@ -161,7 +165,9 @@ class _Engine:
         self.nl = problem.nonlinearity
         self.data = problem.data
         self.skip_f0 = self.nl.f_at_zero is not None
+        self.vs = 2.0 if self.forward else 1.0  # variance scale
         self.gauss_slots = np.arange(self.d, dtype=np.uint64)
+        self.slots1 = self.gauss_slots + np.uint64(1)
 
     # orientation helpers ------------------------------------------------
 
@@ -173,15 +179,19 @@ class _Engine:
         # R uniform on [0, t] forward, on [t, T] backward
         return t * u if self.forward else t + (self.horizon - t) * u
 
-    def _elapsed(self, t, r):
-        # time between the evaluation point and the sampled time
-        return t - r if self.forward else r - t
+    def _scale(self, t, r):
+        # Brownian standard deviation sqrt(vs * elapsed) between the
+        # evaluation time t and the sampled time r, computed in place in the
+        # fresh elapsed array (never in t or outer, which are read again)
+        elapsed = t - r if self.forward else r - t
+        elapsed *= self.vs
+        return np.sqrt(elapsed, out=elapsed)
 
-    def _smear(self, x, elapsed, z):
-        # x + sqrt(variance_scale * elapsed) * z with x (B,d), elapsed (B,m)
-        # and z (B,m,d); consumes z, which holds the points on return
-        vs = 2.0 if self.forward else 1.0
-        z *= np.sqrt(vs * elapsed)[:, :, None]
+    def _smear(self, x, scale, z):
+        # x + scale * z with x (B,d), scale (B,m) the standard deviation of
+        # each (lane, m) pair (or a broadcast view of it) and z (B,m,d);
+        # consumes z, which holds the points on return
+        z *= scale[:, :, None]
         z += x[:, None, :]
         return z
 
@@ -199,18 +209,18 @@ class _Engine:
                 for j in range(0, m, rows):
                     yield slice(b, b + 1), slice(j, min(j + rows, m))
 
-    def _sample(self, x, elapsed, digests, slots, evaluate):
+    def _sample(self, x, scale, digests, slots, evaluate):
         # evaluate(points, tile) at the smeared gaussians of every (lane, m)
         # pair of digests (B, m), one tile at a time; returns the (B, m)
         # scalar results.  Rows are independent, so tiling changes no value
-        parts = [self._sample_tile(x, elapsed, digests, slots, evaluate, tile)
+        parts = [self._sample_tile(x, scale, digests, slots, evaluate, tile)
                  for tile in self._tiles(*digests.shape)]
         out = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return out.reshape(digests.shape)
 
-    def _sample_tile(self, x, elapsed, digests, slots, evaluate, tile):
+    def _sample_tile(self, x, scale, digests, slots, evaluate, tile):
         z = gaussians_vec(digests[tile][:, :, None], slots)
-        pts = self._smear(x[tile[0]], elapsed[tile], z)
+        pts = self._smear(x[tile[0]], scale[tile], z)
         return evaluate(pts.reshape(-1, self.d), tile)
 
     # the recursion ------------------------------------------------------
@@ -238,16 +248,16 @@ class _Engine:
         nl, data = self.nl, self.data
         d = self.d
         outer = self._outer_coef(t)
-        slots1 = self.gauss_slots + np.uint64(1)
 
-        # level 0: data samples at nodes (theta, 0, -m), m = 1..M^n
+        # level 0: data samples at nodes (theta, 0, -m), m = 1..M^n.  Their
+        # elapsed time is outer for every m, so one square root per lane
         Mn = M**n
         ms = np.arange(1, Mn + 1, dtype=np.int64)
         dig_zero = absorb_vec(digests[:, None], depth + 1, 0)
         dig_data = absorb_vec(dig_zero, depth + 2, -ms)
         vals = self._sample(
-            x, np.broadcast_to(outer[:, None], (B, Mn)), dig_data,
-            self.gauss_slots, lambda pts, tile: data.eval(pts),
+            x, np.broadcast_to(np.sqrt(self.vs * outer)[:, None], (B, Mn)),
+            dig_data, self.gauss_slots, lambda pts, tile: data.eval(pts),
         )
         tally.gaussian_scalars += vals.size * d
         tally.data_evals += vals.size
@@ -261,7 +271,7 @@ class _Engine:
             dig_f = absorb_vec(dig_zero, depth + 2, ms)
             r_times = self._sample_time(t[:, None], uniforms_vec(dig_f, 0))
             fvals = self._sample(
-                x, self._elapsed(t[:, None], r_times), dig_f, slots1,
+                x, self._scale(t[:, None], r_times), dig_f, self.slots1,
                 lambda pts, tile: nl.eval(
                     r_times[tile].reshape(-1), pts, np.zeros(len(pts))),
             )
@@ -292,7 +302,8 @@ class _Engine:
                 tally, hi_paths, lo_paths,
             )
             diff = self._sample(
-                x, self._elapsed(t[:, None], r_times), dig_km, slots1, correct)
+                x, self._scale(t[:, None], r_times), dig_km, self.slots1,
+                correct)
             tally.uniforms += diff.size
             tally.gaussian_scalars += diff.size * d
             tally.f_evals += 2 * diff.size

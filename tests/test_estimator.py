@@ -1,6 +1,7 @@
 """Estimator semantics: exact base cases, draw accounting, sharing, truncation."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,19 @@ def no_skip_allen_cahn() -> Nonlinearity:
         autonomous=True,
         f_at_zero=None,
         name="allen_cahn_noskip",
+    )
+
+
+def forced_allen_cahn() -> Nonlinearity:
+    """Allen-Cahn plus a forcing in (t, x), with no declared f(0): the
+    level-0 f samples are drawn, and their values read the smeared points."""
+    return Nonlinearity(
+        eval=lambda t, x, u: u - u**3 + 0.5 * t * np.cos(x.sum(axis=-1)),
+        lipschitz_local=lambda r: 2.0 * (1.0 + 2.0 * r * r),
+        coercivity_c=1.5,
+        autonomous=False,
+        f_at_zero=None,
+        name="forced_allen_cahn",
     )
 
 
@@ -375,3 +389,147 @@ def test_backward_twin_of_terminal_point_returns_transformed_datum():
     res = estimate_backward(twin, params_for(1, 1), prob.horizon, x)
     expected = float(np.asarray(twin.data.eval(x[None, :]))[0])
     assert res.value == expected
+
+
+# estimate_batch values (3 repetitions, seed 8, radius 3, T = 0.5) as
+# float.hex, by (d, orientation, datum, nonlinearity, n, M).  The point is
+# x = linspace(-0.4, 0.3, d), at t = 0.4 forward and t = 0.1 backward
+ESTIMATE_MIRROR = {
+    (1, "forward", "constant", "allen_cahn", 3, 3):
+        ("0x1.8a4a5e1fe92dap+0", "0x1.9f494d9d93818p+0", "0x1.a7bba94a1ed44p-1"),
+    (1, "forward", "constant", "allen_cahn", 4, 2):
+        ("0x1.1ea0e8ffd1b18p-2", "0x1.5d12bfaa8a99cp-2", "0x1.449d614213ad8p-3"),
+    (1, "forward", "constant", "forced", 3, 3):
+        ("0x1.902f1300925bbp+0", "0x1.a083bdb49a3aap+0", "0x1.b3194514aac2cp-1"),
+    (1, "forward", "constant", "forced", 4, 2):
+        ("0x1.2fd73d2c0a17cp-2", "0x1.34d56bb880764p-2", "0x1.6822b9c893cbcp-3"),
+    (1, "forward", "cosine_mean", "allen_cahn", 3, 3):
+        ("0x1.4ccce81cb07f4p-1", "0x1.5e7a3ba5c4374p-1", "0x1.0ef23126f4a76p+0"),
+    (1, "forward", "cosine_mean", "allen_cahn", 4, 2):
+        ("0x1.0d264da7fa494p+0", "0x1.060d94d9aa8e0p+0", "0x1.2200fd58c282ap+0"),
+    (1, "forward", "cosine_mean", "forced", 3, 3):
+        ("0x1.5970e573570cdp-1", "0x1.65f3ff48a7e70p-1", "0x1.165459908c1acp+0"),
+    (1, "forward", "cosine_mean", "forced", 4, 2):
+        ("0x1.1489d0d7486e3p+0", "0x1.09ee49f07726fp+0", "0x1.29386d57d7957p+0"),
+    (1, "forward", "gaussian_bump", "allen_cahn", 3, 3):
+        ("0x1.615ad302233aap-1", "0x1.a2a393e9deab3p-1", "0x1.f0de2a01ddea3p-1"),
+    (1, "forward", "gaussian_bump", "allen_cahn", 4, 2):
+        ("0x1.0fa2447df7df1p+0", "0x1.fb9a8e463e491p-1", "0x1.26c387969f96ep+0"),
+    (1, "forward", "gaussian_bump", "forced", 3, 3):
+        ("0x1.6f836a92d7f49p-1", "0x1.abb507c4fa0c1p-1", "0x1.ff8b5392a1516p-1"),
+    (1, "forward", "gaussian_bump", "forced", 4, 2):
+        ("0x1.17ee60e600133p+0", "0x1.02081410ed9b5p+0", "0x1.2e922a5a4ca39p+0"),
+    (1, "backward", "constant", "allen_cahn", 3, 3):
+        ("0x1.eaeb69a801a16p+0", "0x1.73b77acfcd7aap+0", "0x1.f7a53e53e2ffep+0"),
+    (1, "backward", "constant", "allen_cahn", 4, 2):
+        ("0x1.411fcf4afa158p+0", "0x1.d0f2aeb00e780p-4", "0x1.73683756efa08p-3"),
+    (1, "backward", "constant", "forced", 3, 3):
+        ("0x1.f2fe3c898bbfap+0", "0x1.8a836e578b0f9p+0", "0x1.07615091205e0p+1"),
+    (1, "backward", "constant", "forced", 4, 2):
+        ("0x1.3ff920317ae0ep+0", "0x1.9f77192a2adb0p-4", "0x1.043d686fb9ad0p-3"),
+    (1, "backward", "cosine_mean", "allen_cahn", 3, 3):
+        ("0x1.00c04f38fc675p+0", "0x1.c9e2523c14c08p-1", "0x1.5059814865f1cp+0"),
+    (1, "backward", "cosine_mean", "allen_cahn", 4, 2):
+        ("0x1.2651dd548611ep+0", "0x1.140b2c4b50943p+0", "0x1.2fc2732d180d0p+0"),
+    (1, "backward", "cosine_mean", "forced", 3, 3):
+        ("0x1.07cc7347f57c8p+0", "0x1.e806c928ad67ap-1", "0x1.6053937b91d05p+0"),
+    (1, "backward", "cosine_mean", "forced", 4, 2):
+        ("0x1.3028bc0387714p+0", "0x1.22719c89ffcc0p+0", "0x1.3c918a677c32bp+0"),
+    (1, "backward", "gaussian_bump", "allen_cahn", 3, 3):
+        ("0x1.e3151ede65d22p-1", "0x1.a0abb2200dcc5p-1", "0x1.39fe6df3e6fc4p+0"),
+    (1, "backward", "gaussian_bump", "allen_cahn", 4, 2):
+        ("0x1.1911f62c5ff98p+0", "0x1.139f87d33fdb8p+0", "0x1.2a3f0e2f3b717p+0"),
+    (1, "backward", "gaussian_bump", "forced", 3, 3):
+        ("0x1.f43ca8671e1bcp-1", "0x1.ba1ee3fdc57e5p-1", "0x1.49016f0042024p+0"),
+    (1, "backward", "gaussian_bump", "forced", 4, 2):
+        ("0x1.26a8ba23c6cd1p+0", "0x1.21419df74b378p+0", "0x1.376bdf946cc1ep+0"),
+    (3, "forward", "constant", "allen_cahn", 3, 3):
+        ("0x1.8a4a5e1fe92dap+0", "0x1.9f494d9d93818p+0", "0x1.a7bba94a1ed44p-1"),
+    (3, "forward", "constant", "allen_cahn", 4, 2):
+        ("0x1.1ea0e8ffd1b18p-2", "0x1.5d12bfaa8a99cp-2", "0x1.449d614213ad8p-3"),
+    (3, "forward", "constant", "forced", 3, 3):
+        ("0x1.8345b79967a76p+0", "0x1.a0ecff8dfd272p+0", "0x1.b546c7a24c89cp-1"),
+    (3, "forward", "constant", "forced", 4, 2):
+        ("0x1.2a78de68aa990p-2", "0x1.2506028f4ab34p-2", "0x1.5b65eeaa22394p-3"),
+    (3, "forward", "cosine_mean", "allen_cahn", 3, 3):
+        ("0x1.823c2c4885994p-1", "0x1.d1067ddb00497p-1", "0x1.275c77c93de7ep+0"),
+    (3, "forward", "cosine_mean", "allen_cahn", 4, 2):
+        ("0x1.1f12663b07052p+0", "0x1.586e1ac45e005p-1", "0x1.da0724e53e2cap-1"),
+    (3, "forward", "cosine_mean", "forced", 3, 3):
+        ("0x1.8723554882eccp-1", "0x1.d6d9006b44fdbp-1", "0x1.2e0a4d5c3ca72p+0"),
+    (3, "forward", "cosine_mean", "forced", 4, 2):
+        ("0x1.24e03bb01e546p+0", "0x1.5e42c6e687b86p-1", "0x1.e34fe6f1a4bf1p-1"),
+    (3, "forward", "gaussian_bump", "allen_cahn", 3, 3):
+        ("0x1.3ed09669a47dbp-1", "0x1.59a1f69f1205fp-1", "0x1.ea7cacde40210p-1"),
+    (3, "forward", "gaussian_bump", "allen_cahn", 4, 2):
+        ("0x1.55b4156eb082bp-1", "0x1.1d665dccde3dcp-1", "0x1.fdc13d68c0b43p-1"),
+    (3, "forward", "gaussian_bump", "forced", 3, 3):
+        ("0x1.49257a1707b6fp-1", "0x1.64822399e7180p-1", "0x1.f83f4d3a6e39ep-1"),
+    (3, "forward", "gaussian_bump", "forced", 4, 2):
+        ("0x1.6291ecf4c7ccdp-1", "0x1.2a9026944681cp-1", "0x1.045a4befc98f8p+0"),
+    (3, "backward", "constant", "allen_cahn", 3, 3):
+        ("0x1.eaeb69a801a16p+0", "0x1.73b77acfcd7aap+0", "0x1.f7a53e53e2ffep+0"),
+    (3, "backward", "constant", "allen_cahn", 4, 2):
+        ("0x1.411fcf4afa158p+0", "0x1.d0f2aeb00e780p-4", "0x1.73683756efa08p-3"),
+    (3, "backward", "constant", "forced", 3, 3):
+        ("0x1.cebe1739d1facp+0", "0x1.7b943b5cdc6abp+0", "0x1.0161bb0b53b3cp+1"),
+    (3, "backward", "constant", "forced", 4, 2):
+        ("0x1.33af0c2cf5492p+0", "0x1.b0edc48c480a8p-3", "0x1.0040dff048940p-3"),
+    (3, "backward", "cosine_mean", "allen_cahn", 3, 3):
+        ("0x1.f7961cb309c8cp-1", "0x1.0091943cbab78p+0", "0x1.6006a57ad74c6p+0"),
+    (3, "backward", "cosine_mean", "allen_cahn", 4, 2):
+        ("0x1.12333a9b49f03p+0", "0x1.a88d80a9360a0p-1", "0x1.07df53281063ep+0"),
+    (3, "backward", "cosine_mean", "forced", 3, 3):
+        ("0x1.f030d9d407be0p-1", "0x1.0927ab2d72119p+0", "0x1.69d9fe511d08ep+0"),
+    (3, "backward", "cosine_mean", "forced", 4, 2):
+        ("0x1.1293164297d9ep+0", "0x1.c042e83899718p-1", "0x1.07887e8e5654ep+0"),
+    (3, "backward", "gaussian_bump", "allen_cahn", 3, 3):
+        ("0x1.dc1c21c596509p-1", "0x1.b9d9e22d6bc10p-1", "0x1.04d0b86e567afp+0"),
+    (3, "backward", "gaussian_bump", "allen_cahn", 4, 2):
+        ("0x1.11f657b9ee934p+0", "0x1.9ecc3e14dc31cp-1", "0x1.082f3a8182a50p+0"),
+    (3, "backward", "gaussian_bump", "forced", 3, 3):
+        ("0x1.e64e61af54caap-1", "0x1.cc222bcf9fcbdp-1", "0x1.08eab43ff003ap+0"),
+    (3, "backward", "gaussian_bump", "forced", 4, 2):
+        ("0x1.1b7f82c7acf92p+0", "0x1.b569453c2b91ep-1", "0x1.0ca9f95e2932ap+0"),
+}
+
+# (gaussian_scalars, uniforms, f_evals, data_evals) per repetition, by
+# (d, nonlinearity, n, M); the orientation and the datum change none
+ESTIMATE_MIRROR_TALLY = {
+    (1, "allen_cahn", 3, 3): (138, 21, 42, 117),
+    (1, "allen_cahn", 4, 2): (206, 46, 92, 160),
+    (1, "forced", 3, 3): (255, 138, 159, 117),
+    (1, "forced", 4, 2): (366, 206, 252, 160),
+    (3, "allen_cahn", 3, 3): (414, 21, 42, 117),
+    (3, "allen_cahn", 4, 2): (618, 46, 92, 160),
+    (3, "forced", 3, 3): (765, 138, 159, 117),
+    (3, "forced", 4, 2): (1098, 206, 252, 160),
+}
+
+
+def test_estimate_hardcoded_mirror(monkeypatch):
+    # pins every draw, smear, evaluation and reduction of the recursion,
+    # in both orientations and on the level-0 f-sample path
+    monkeypatch.setattr(estimator, "_CHUNK_BUDGET", 1)  # 3 one-lane chunks
+    nonlinearities = {"allen_cahn": None, "forced": forced_allen_cahn()}
+    data_params = {"constant": {"value": 2.0}, "cosine_mean": {"kappa": 1.5},
+                   "gaussian_bump": {"kappa": 1.5}}
+    got, tallies = {}, {}
+    for d, orientation, data_name, f_name, (n, M) in itertools.product(
+            (1, 3), ("forward", "backward"), data_params, nonlinearities,
+            ((3, 3), (4, 2))):
+        prob = make_problem(
+            dimension=d, horizon=0.5, orientation=Orientation(orientation),
+            nonlinearity=nonlinearities[f_name],
+            data=builtin_data(data_name, d, **data_params[data_name]))
+        t = 0.4 if orientation == "forward" else 0.1
+        batch = estimate_batch(prob, params_for(n, M, r=3.0, seed=8), t,
+                               np.linspace(-0.4, 0.3, d), 3, worker_count=2)
+        got[(d, orientation, data_name, f_name, n, M)] = tuple(
+            res.value.hex() for res in batch)
+        for res in batch:
+            tallies.setdefault((d, f_name, n, M), set()).add(
+                dataclasses.astuple(res.tally))
+    assert got == ESTIMATE_MIRROR
+    assert tallies == {key: {tally}
+                       for key, tally in ESTIMATE_MIRROR_TALLY.items()}
