@@ -10,7 +10,7 @@ the trend.  Writes convergence.csv next to the script output.
 
 import numpy as np
 
-from mlpicard.experiments import rmse_vs_oracle, write_convergence_csv
+from mlpicard.experiments import ConvergenceRow, rmse_vs_oracle, write_rows
 from mlpicard.oracles import allen_cahn_reference
 from mlpicard.problem import make_problem
 
@@ -30,7 +30,7 @@ def main():
               f"{row.error_bound:>12.4e} {row.gaussians_measured:>9} "
               f"{row.cost_model:>9}")
 
-    write_convergence_csv("convergence.csv", rows)
+    write_rows("convergence.csv", ConvergenceRow, rows)
     print("\nwrote convergence.csv")
     ratios = [rows[i].rmse / rows[i + 1].rmse for i in range(1, len(rows) - 1)]
     print("rmse contraction per level:",

@@ -8,7 +8,7 @@ never through the branching.  Writes scaling.csv.
 
 import numpy as np
 
-from mlpicard.experiments import dimension_scaling, write_scaling_csv
+from mlpicard.experiments import ScalingRow, dimension_scaling, write_rows
 from mlpicard.oracles import allen_cahn_reference
 from mlpicard.problem import make_problem
 
@@ -44,7 +44,7 @@ def main():
     print(f"  the {abs(mean - ref):.4f} gap is level-4 iteration bias: it "
           "shrinks with n, not with more repetitions")
 
-    write_scaling_csv("scaling.csv", result)
+    write_rows("scaling.csv", ScalingRow, result.rows)
     print("wrote scaling.csv")
 
 

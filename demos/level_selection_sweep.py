@@ -15,7 +15,7 @@ from mlpicard.bounds import (
     select_levels,
     surrogate_constants,
 )
-from mlpicard.experiments import epsilon_sweep, write_sweep_csv
+from mlpicard.experiments import SweepRow, epsilon_sweep, write_rows
 from mlpicard.problem import default_schedule
 
 
@@ -45,7 +45,7 @@ def main():
     print(f"\nscaled spread max/min = {spread:.1f}x "
           f"(raw cost spans {max(r.cumulative_cost for r in sweep.rows) / min(r.cumulative_cost for r in sweep.rows):.0f}x)")
 
-    write_sweep_csv("sweep.csv", sweep)
+    write_rows("sweep.csv", SweepRow, sweep.rows)
     print("wrote sweep.csv")
 
 

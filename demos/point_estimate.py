@@ -12,9 +12,8 @@ import numpy as np
 from mlpicard.bounds import cost_recursion, rho_min
 from mlpicard.estimator import (
     MlpParams,
-    estimate_backward,
+    estimate,
     estimate_batch,
-    estimate_forward,
     transform_to_backward,
 )
 from mlpicard.oracles import allen_cahn_reference
@@ -31,7 +30,7 @@ def main():
           "(any r >= rho leaves the true solution unclamped)")
 
     params = MlpParams(levels=5, branching=5, truncation_radius=radius, seed=0)
-    one = estimate_forward(prob, params, horizon, np.zeros(d))
+    one = estimate(prob, params, horizon, np.zeros(d))
     print(f"\nsingle realization:  value = {one.value:+.6f}")
     print(f"  scalar draws = {one.tally.total_draws}, "
           f"cost model = {cost_recursion(d, 5, 5)}")
@@ -49,7 +48,7 @@ def main():
 
     twin = transform_to_backward(prob)
     small = MlpParams(levels=4, branching=4, truncation_radius=radius, seed=1)
-    one = estimate_backward(twin, small, 0.0, np.zeros(d))
+    one = estimate(twin, small, 0.0, np.zeros(d))
     print(f"\nbackward twin, n = M = 4, one realization at (0, 0): "
           f"{one.value:+.6f}")
     twin_reps = 100

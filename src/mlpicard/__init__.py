@@ -9,9 +9,10 @@ The estimator approximates u(t, x) for
 in arbitrary dimension d by a nested Monte Carlo recursion whose work
 grows polynomially in d and in 1/accuracy.  The package provides:
 
-  * `estimate_forward` / `estimate_backward` / `estimate_batch`: the
-    estimator itself, deterministic given (problem, parameters, seed),
-    with an exact tally of every random draw and function evaluation.
+  * `estimate` / `estimate_batch`: the estimator itself, one realization
+    or K of them in the problem's own orientation, deterministic given
+    (problem, parameters, seed), with an exact tally of every random draw
+    and function evaluation.
   * `problem`: problem definitions, built-in nonlinearities and data
     (addressable by name), and truncation schedules.
   * `bounds`: the L2 error bound, minimal truncation radius, cost model
@@ -19,7 +20,8 @@ grows polynomially in d and in 1/accuracy.  The package provides:
   * `oracles`: independent low-dimensional references (ODE reduction,
     1-D finite differences), a Feynman-Kac fixed-point residual check
     and the maximum-principle check.
-  * `experiments`: RMSE/scaling/sweep tables with CSV emission.
+  * `experiments`: RMSE/scaling/sweep tables; `write_rows` writes any of
+    them as CSV, one column per row field.
   * `cli`: the `mlpicard` command. Run `mlpicard --help-config` for the
     configuration grammar.
 
@@ -45,9 +47,8 @@ from .estimator import (
     EstimateResult,
     EstimatorProbe,
     MlpParams,
-    estimate_backward,
+    estimate,
     estimate_batch,
-    estimate_forward,
     transform_to_backward,
 )
 from .experiments import (
@@ -58,9 +59,7 @@ from .experiments import (
     dimension_scaling,
     epsilon_sweep,
     rmse_vs_oracle,
-    write_convergence_csv,
-    write_scaling_csv,
-    write_sweep_csv,
+    write_rows,
 )
 from .oracles import (
     Boundary,
@@ -132,9 +131,8 @@ __all__ = [
     "dimension_scaling",
     "epsilon_sweep",
     "error_bound",
-    "estimate_backward",
+    "estimate",
     "estimate_batch",
-    "estimate_forward",
     "eval_truncated_f",
     "fd_refinement_gap",
     "fd_solve_1d",
@@ -151,7 +149,5 @@ __all__ = [
     "transform_to_backward",
     "truncate_value",
     "uniform01",
-    "write_convergence_csv",
-    "write_scaling_csv",
-    "write_sweep_csv",
+    "write_rows",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import io
+import importlib.resources
 import math
 import os
 import sys
@@ -37,7 +37,7 @@ import numpy as np
 from . import bounds, experiments, oracles, problem as problem_mod
 from .estimator import MlpParams, estimate_batch
 from .problem import Orientation, PdeProblem, TruncationSchedule
-from .randomness import GOLDEN_ENTRIES, StreamKey, NodeId, golden_lines, verify_golden
+from .randomness import NodeId, StreamKey, uniform01, uniforms_vec, verify_golden
 
 
 class ConfigError(Exception):
@@ -249,32 +249,6 @@ def load_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"cannot read config file: {exc}") from None
 
 
-def serialize_config(config: RunConfig) -> str:
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-    out = io.StringIO()
-    for section in _SECTIONS:
-        lines = []
-        for (sec, key), spec in sorted(_SCHEMA.items()):
-            if sec != section:
-                continue
-            value = getattr(config, spec.field_name)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                rendered = ",".join(repr(v) if isinstance(v, float) else str(v)
-                                    for v in value)
-            elif isinstance(value, float):
-                rendered = repr(value)
-            else:
-                rendered = str(value)
-            lines.append(f"{key} = {rendered}\n")
-        if lines:
-            out.write(f"[{section}]\n")
-            out.writelines(lines)
-            out.write("\n")
-    return out.getvalue()
-
-
 # config -> library objects -------------------------------------------------
 
 
@@ -293,16 +267,13 @@ def build_problem(config: RunConfig) -> PdeProblem:
             raise ConfigError(f"{config.data} data needs [problem] kappa")
         data = problem_mod.builtin_data(config.data, config.dimension,
                                         kappa=config.kappa)
-    try:
-        return problem_mod.make_problem(
-            dimension=config.dimension,
-            horizon=config.horizon,
-            orientation=Orientation(config.orientation),
-            nonlinearity=nl,
-            data=data,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return problem_mod.make_problem(
+        dimension=config.dimension,
+        horizon=config.horizon,
+        orientation=Orientation(config.orientation),
+        nonlinearity=nl,
+        data=data,
+    )
 
 
 def build_schedule(config: RunConfig) -> TruncationSchedule:
@@ -325,13 +296,6 @@ def resolve_branching(config: RunConfig, levels: int) -> int:
     if M < 1:
         raise ConfigError(f"[estimator] branching must be >= 1, got {M}")
     return M
-
-
-def resolve_radius(config: RunConfig, prob: PdeProblem, M: int) -> float:
-    if config.radius is not None:
-        return config.radius
-    schedule = build_schedule(config)
-    return max(schedule.radius_at(max(M, 1)), bounds.rho_min(prob))
 
 
 def resolve_point(config: RunConfig, prob: PdeProblem):
@@ -379,17 +343,16 @@ def _require_constant_datum(config: RunConfig, prob: PdeProblem) -> float:
 def cmd_estimate(config: RunConfig, out: Optional[str], threads: int) -> int:
     prob = build_problem(config)
     M = resolve_branching(config, config.levels)
-    r = resolve_radius(config, prob, M)
+    r = config.radius
+    if r is None:
+        r = experiments.default_radius(prob, build_schedule(config), M)
     params = MlpParams(levels=config.levels, branching=M,
                        truncation_radius=r, seed=config.seed)
     t, x = resolve_point(config, prob)
     K = config.repetitions
     if K < 1:
         raise ConfigError(f"[estimator] repetitions must be >= 1, got {K}")
-    try:
-        results = estimate_batch(prob, params, t, x, K, worker_count=threads)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    results = estimate_batch(prob, params, t, x, K, worker_count=threads)
     values = np.array([res.value for res in results])
     mean = float(values.mean())
     if not math.isfinite(mean):
@@ -427,32 +390,21 @@ def cmd_converge(config: RunConfig, out: Optional[str], threads: int) -> int:
         worker_count=threads, radius_override=config.radius,
     )
     path = out or "convergence.csv"
-    experiments.write_convergence_csv(path, rows)
+    experiments.write_rows(path, experiments.ConvergenceRow, rows)
     print(f"converge: {len(rows)} rows -> {path}; oracle {oracle_value!r}; "
           f"final rmse {rows[-1].rmse!r}")
     return 0
 
 
 def cmd_scale(config: RunConfig, out: Optional[str], threads: int) -> int:
-    base = build_problem(config)
-
-    def template(d: int) -> PdeProblem:
-        if base.data.constant_value is not None:
-            data = base.data
-        else:
-            data = problem_mod.builtin_data(config.data, d, kappa=config.kappa)
-        return problem_mod.make_problem(
-            dimension=d, horizon=base.horizon, orientation=base.orientation,
-            nonlinearity=base.nonlinearity, data=data,
-        )
-
-    t, _ = resolve_point(config, base)
+    t, _ = resolve_point(config, build_problem(config))
     result = experiments.dimension_scaling(
-        template, config.d_list, n=config.n, t=t,
+        lambda d: build_problem(dataclasses.replace(config, dimension=d)),
+        config.d_list, n=config.n, t=t,
         K=config.repetitions, seed=config.seed, worker_count=threads,
     )
     path = out or "scaling.csv"
-    experiments.write_scaling_csv(path, result)
+    experiments.write_rows(path, experiments.ScalingRow, result.rows)
     print(f"scale: {len(result.rows)} rows -> {path}; "
           f"cost_affine_exact={result.cost_affine_exact}; "
           f"gaussian_fit_r2={result.gaussian_fit_r2!r}")
@@ -463,18 +415,14 @@ def cmd_sweep(config: RunConfig, out: Optional[str], threads: int) -> int:
     if config.constants == "surrogate":
         consts = bounds.surrogate_constants()
     else:
-        prob = build_problem(config)
-        try:
-            consts = bounds.BoundConstants.from_problem(prob)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        consts = bounds.BoundConstants.from_problem(build_problem(config))
     result = experiments.epsilon_sweep(
         consts, build_schedule(config), config.delta,
         config.epsilon_list, config.d_list,
         k_offset=config.k_offset, n_max=config.n_max,
     )
     path = out or "sweep.csv"
-    experiments.write_sweep_csv(path, result)
+    experiments.write_rows(path, experiments.SweepRow, result.rows)
     print(f"sweep: {len(result.rows)} rows -> {path}; "
           f"scaled cost max {result.scaled_max!r} min {result.scaled_min!r}")
     return 0
@@ -504,10 +452,7 @@ def cmd_oracle(config: RunConfig, out: Optional[str], threads: int) -> int:
         boundary=oracles.Boundary(config.boundary),
     )
     t = prob.horizon if config.t is None else config.t
-    try:
-        sol = oracles.fd_solve_1d(prob, fd, t)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    sol = oracles.fd_solve_1d(prob, fd, t)
     rows = [(repr(t), repr(float(xi)), repr(float(vi)))
             for xi, vi in zip(sol.x, sol.values)]
     experiments.write_csv(path, CURVE_HEADER, rows)
@@ -536,15 +481,19 @@ def cmd_cost(config: RunConfig, out: Optional[str], threads: int) -> int:
 def cmd_selftest(config: RunConfig, out: Optional[str], threads: int) -> int:
     checks = []
 
-    problems = verify_golden(golden_lines())
+    golden = importlib.resources.files(__package__) / "golden_rng.txt"
+    problems = verify_golden(golden.read_text(encoding="utf-8").splitlines())
     checks.append(("golden RNG values", not problems,
                    "; ".join(problems) or "ok"))
 
-    key = StreamKey(seed=0, node=NodeId(()), counter=0)
-    checks.append(("RNG determinism", key.digest() == StreamKey(
-        seed=0, node=NodeId(()), counter=0).digest(), "digest stable"))
+    keys = [StreamKey(seed, NodeId(path), counter)
+            for seed, path, counter in ((0, (), 0), (3, (1, -2), 5))]
+    ok = all(uniform01(key) == float(uniforms_vec(np.uint64(key.digest()),
+                                                  key.counter))
+             for key in keys)
+    checks.append(("scalar and vector uniforms agree", ok,
+                   f"{len(keys)} keys"))
 
-    from .randomness import uniform01
     u = uniform01(StreamKey(seed=1, node=NodeId((2, -3)), counter=0))
     checks.append(("uniform in range", 0.0 <= u < 1.0, f"u={u}"))
 

@@ -39,6 +39,9 @@ outer factor), so they take one square root per lane.  Results are a pure
 function of (seed, node path, counter): every lane and every row is
 computed on its own, so tiles, chunks and thread counts cannot change a
 value, a tally or a recorded entry.
+
+``estimate`` gives one realization and ``estimate_batch`` K of them, both
+through the same lane entry and in the orientation the problem carries.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -371,29 +374,15 @@ def _validate_point(problem, t, x):
     return x
 
 
-def _estimate(problem, params, t, x, probe):
+def estimate(problem: PdeProblem, params: MlpParams, t: float, x,
+             probe: EstimatorProbe | None = None) -> EstimateResult:
+    """One realization at (t, x), in the problem's own orientation."""
     x = _validate_point(problem, t, x)
     if params.levels == 0:
         return EstimateResult(0.0, CostTally())
     values, tally = _run_lanes(problem, params, t, x, params.root_node.path,
                                probe)
     return EstimateResult(float(values[0]), tally)
-
-
-def estimate_forward(problem: PdeProblem, params: MlpParams, t: float, x,
-                     probe: EstimatorProbe | None = None) -> EstimateResult:
-    """One realization of the forward estimator at (t, x)."""
-    if problem.orientation is not Orientation.FORWARD:
-        raise ValueError("estimate_forward requires a Forward problem")
-    return _estimate(problem, params, t, x, probe)
-
-
-def estimate_backward(problem: PdeProblem, params: MlpParams, t: float, x,
-                      probe: EstimatorProbe | None = None) -> EstimateResult:
-    """One realization of the backward estimator at (t, x)."""
-    if problem.orientation is not Orientation.BACKWARD:
-        raise ValueError("estimate_backward requires a Backward problem")
-    return _estimate(problem, params, t, x, probe)
 
 
 def estimate_batch(
@@ -478,12 +467,10 @@ def transform_to_backward(problem: PdeProblem) -> PdeProblem:
             coercivity_c=nl.coercivity_c,
             autonomous=nl.autonomous,
             f_at_zero=nl.f_at_zero,
-            name=nl.name,
         ),
         data=DataFunction(
             eval=g,
             sup_bound_kappa=data.sup_bound_kappa,
             constant_value=data.constant_value,
-            name=data.name,
         ),
     )

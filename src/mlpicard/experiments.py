@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -51,12 +51,6 @@ class RunningStats:
         self.mean = mean
         self.m2 = m2
 
-    def update(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
     def update_many(self, values) -> None:
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if values.size == 0:
@@ -87,11 +81,34 @@ class RunningStats:
             return 0.0
         return self.m2 / (self.count - 1)
 
-    @property
-    def std_error(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.variance / self.count)
+
+def default_radius(problem: PdeProblem, schedule: TruncationSchedule,
+                   M: int) -> float:
+    """max(schedule.radius_at(M), rho_min(problem)): the truncation never
+    bites on the exact solution."""
+    return max(schedule.radius_at(M), rho_min(problem))
+
+
+def _run_checked(problem, n, r, t, x, K, seed, worker_count):
+    # K diagonal (M = n) realizations, timed; measured draws <=
+    # cost_recursion <= cost_bound is re-verified before any row is built
+    M, d = max(n, 1), problem.dimension
+    params = MlpParams(levels=n, branching=M, truncation_radius=r, seed=seed)
+    start = time.perf_counter()
+    results = estimate_batch(problem, params, t, x, K, worker_count)
+    wall = time.perf_counter() - start
+    draws = results[0].tally.total_draws
+    model = cost_recursion(d, n, M)
+    if draws > model:
+        raise AssertionError(
+            f"measured draws {draws} exceed cost model {model} "
+            f"at n={n}, M={M}, d={d}"
+        )
+    if n >= 1 and model > cost_bound(d, n, M):
+        raise AssertionError(
+            f"cost model {model} exceeds closed-form bound at n={n}"
+        )
+    return results, wall, model
 
 
 @dataclass(frozen=True)
@@ -121,53 +138,31 @@ def rmse_vs_oracle(
 ) -> list[ConvergenceRow]:
     """Diagonal (M = n) RMSE table against a fixed oracle value.
 
-    Default radius: max(schedule.radius_at(n), rho_min(problem)), so the
-    truncation never bites on the exact solution.  Every row re-verifies
-    measured draws <= cost_recursion <= cost_bound before it is emitted.
+    The radius is ``radius_override`` or else ``default_radius``.  Every row
+    re-verifies measured draws <= cost_recursion <= cost_bound.
     """
     if K < 2:
         raise ValueError(f"K must be >= 2 for a standard error, got {K}")
     if schedule is None:
         schedule = default_schedule()
     consts = BoundConstants.from_problem(problem)
-    floor = rho_min(problem)
-    d = problem.dimension
     rows = []
     for n in n_list:
         M = max(n, 1)
-        if radius_override is not None:
-            r = radius_override
-        else:
-            r = max(schedule.radius_at(M), floor)
-        params = MlpParams(
-            levels=n, branching=M, truncation_radius=r, seed=seed
-        )
-        start = time.perf_counter()
-        results = estimate_batch(problem, params, t, x, K, worker_count)
-        wall = time.perf_counter() - start
+        r = (default_radius(problem, schedule, M) if radius_override is None
+             else radius_override)
+        results, wall, model = _run_checked(problem, n, r, t, x, K, seed,
+                                            worker_count)
         values = np.array([res.value for res in results])
-        rmse = float(np.sqrt(np.mean((values - oracle_value) ** 2)))
-        se_mean = float(values.std(ddof=1) / math.sqrt(K))
-        tally = results[0].tally
-        model = cost_recursion(d, n, M)
-        if tally.total_draws > model:
-            raise AssertionError(
-                f"measured draws {tally.total_draws} exceed cost model {model} "
-                f"at n={n}, M={M}, d={d}"
-            )
-        if n >= 1 and model > cost_bound(d, n, M):
-            raise AssertionError(
-                f"cost model {model} exceeds closed-form bound at n={n}"
-            )
         rows.append(
             ConvergenceRow(
                 n=n,
                 radius=r,
                 repetitions=K,
-                rmse=rmse,
-                se_mean=se_mean,
+                rmse=float(np.sqrt(np.mean((values - oracle_value) ** 2))),
+                se_mean=float(values.std(ddof=1) / math.sqrt(K)),
                 error_bound=error_bound(consts, n, M, r),
-                gaussians_measured=tally.gaussian_scalars,
+                gaussians_measured=results[0].tally.gaussian_scalars,
                 cost_model=model,
                 wall_time_s=wall,
             )
@@ -198,12 +193,11 @@ def dimension_scaling(
     d_list: Sequence[int],
     n: int = 3,
     t: Optional[float] = None,
-    x_rule: Optional[Callable[[int], np.ndarray]] = None,
     K: int = 1,
     seed: int = 0,
     worker_count: int = 1,
 ) -> ScalingResult:
-    """Draw counts and model cost across dimensions at fixed n = M.
+    """Draw counts and model cost across dimensions at fixed n = M, at x = 0.
 
     The cost model is affine in d at fixed (n, M); the affine check fits
     the first two dimensions exactly (integer arithmetic) and requires
@@ -214,24 +208,16 @@ def dimension_scaling(
         raise ValueError("d_list needs at least two dimensions")
     if any(d < 1 for d in d_list):
         raise ValueError(f"dimensions must be >= 1, got {list(d_list)}")
+    schedule = default_schedule()
     rows = []
     for d in d_list:
         problem = problem_template(d)
-        t_eval = problem.horizon if t is None else t
-        x = np.zeros(d) if x_rule is None else np.asarray(x_rule(d), dtype=float)
-        r = max(default_schedule().radius_at(max(n, 1)), rho_min(problem))
-        params = MlpParams(levels=n, branching=max(n, 1), truncation_radius=r,
-                           seed=seed)
-        start = time.perf_counter()
-        results = estimate_batch(problem, params, t_eval, x, K, worker_count)
-        wall = time.perf_counter() - start
+        results, wall, model = _run_checked(
+            problem, n, default_radius(problem, schedule, max(n, 1)),
+            problem.horizon if t is None else t, np.zeros(d), K, seed,
+            worker_count,
+        )
         tally = results[0].tally
-        model = cost_recursion(d, n, max(n, 1))
-        if tally.total_draws > model:
-            raise AssertionError(
-                f"measured draws {tally.total_draws} exceed cost model {model} "
-                f"at d={d}"
-            )
         rows.append(
             ScalingRow(
                 d=d,
@@ -324,15 +310,6 @@ def epsilon_sweep(
 
 # CSV emission ------------------------------------------------------------
 
-CONVERGENCE_HEADER = (
-    "n", "radius", "repetitions", "rmse", "se_mean", "error_bound",
-    "gaussians_measured", "cost_model", "wall_time_s",
-)
-SCALING_HEADER = (
-    "d", "gaussians_measured", "draws_measured", "cost_model", "wall_time_s",
-)
-SWEEP_HEADER = ("epsilon", "d", "levels", "cumulative_cost", "scaled_cost")
-
 # wall-time columns are excluded from byte-identity comparisons
 NONDETERMINISTIC_COLUMNS = ("wall_time_s",)
 
@@ -345,45 +322,16 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_convergence_csv(path: str, rows: Sequence[ConvergenceRow]) -> None:
-    write_csv(
-        path,
-        CONVERGENCE_HEADER,
-        (
-            (
-                row.n, repr(row.radius), row.repetitions, repr(row.rmse),
-                repr(row.se_mean), repr(row.error_bound),
-                row.gaussians_measured, row.cost_model,
-                f"{row.wall_time_s:.6f}",
-            )
-            for row in rows
-        ),
-    )
+def write_rows(path, row_type, rows) -> None:
+    """A table of ``row_type`` dataclass rows, one column per field.
 
-
-def write_scaling_csv(path: str, result: ScalingResult) -> None:
-    write_csv(
-        path,
-        SCALING_HEADER,
-        (
-            (
-                row.d, row.gaussians_measured, row.draws_measured,
-                row.cost_model, f"{row.wall_time_s:.6f}",
-            )
-            for row in result.rows
-        ),
-    )
-
-
-def write_sweep_csv(path: str, result: SweepResult) -> None:
-    write_csv(
-        path,
-        SWEEP_HEADER,
-        (
-            (
-                repr(row.epsilon), row.d, row.levels, row.cumulative_cost,
-                repr(row.scaled_cost),
-            )
-            for row in result.rows
-        ),
-    )
+    The csv module writes a float with ``str``, which for Python floats is
+    ``repr`` and for numpy floats the same digits without the type name;
+    the NONDETERMINISTIC_COLUMNS are written as ``.6f``.
+    """
+    names = [f.name for f in fields(row_type)]
+    write_csv(path, names, (
+        [f"{getattr(row, name):.6f}" if name in NONDETERMINISTIC_COLUMNS
+         else getattr(row, name) for name in names]
+        for row in rows
+    ))

@@ -113,14 +113,13 @@ def ode_solve(oracle: OdeOracle, t: float) -> float:
     return fine
 
 
-def allen_cahn_reference(u0: float, t: float, horizon: float | None = None) -> float:
+def allen_cahn_reference(u0: float, t: float) -> float:
     """RK4 value for y' = y - y^3 cross-checked against the closed form.
 
     The two must agree to 1e-8; tests that consume this value inherit the
     gate.  Returns the RK4 (step-doubled) value.
     """
-    T = horizon if horizon is not None else max(t, 1e-6)
-    oracle = OdeOracle(f=lambda y: y - y**3, u0=u0, horizon=T)
+    oracle = OdeOracle(f=lambda y: y - y**3, u0=u0, horizon=max(t, 1e-6))
     rk4 = ode_solve(oracle, t)
     closed = allen_cahn_constant_solution(u0, t)
     if abs(rk4 - closed) > 1e-8:

@@ -48,7 +48,6 @@ class Nonlinearity:
     coercivity_c: float
     autonomous: bool = False
     f_at_zero: Optional[float] = None
-    name: str = "custom"
 
     def __post_init__(self):
         if self.coercivity_c < 0.0:
@@ -69,7 +68,6 @@ class DataFunction:
     eval: Callable[[np.ndarray], np.ndarray]
     sup_bound_kappa: float
     constant_value: Optional[float] = None
-    name: str = "custom"
 
     def __post_init__(self):
         if not 0.0 <= self.sup_bound_kappa < math.inf:
@@ -95,20 +93,14 @@ class PdeProblem:
 
 @dataclass(frozen=True)
 class TruncationSchedule:
-    """Level-indexed truncation radii: radius_at(n) = max(raw(n), floor)."""
+    """Level-indexed truncation radii: radius_at(n) = raw(n)."""
 
     raw: Callable[[int], float]
-    floor: float = 0.0
-    name: str = "custom"
-
-    def __post_init__(self):
-        if self.floor < 0.0:
-            raise ValueError(f"floor must be >= 0, got {self.floor}")
 
     def radius_at(self, n: int) -> float:
         if n < 1:
             raise ValueError(f"schedule level must be >= 1, got {n}")
-        r = max(float(self.raw(n)), self.floor)
+        r = float(self.raw(n))
         if not r > 0.0:
             raise ValueError(f"schedule produced nonpositive radius {r} at level {n}")
         return r
@@ -126,23 +118,19 @@ def eval_truncated_f(nl: Nonlinearity, t, x, u, r: float):
     return nl.eval(t, x, truncate_value(u, r))
 
 
-def default_schedule(floor: float = 0.0) -> TruncationSchedule:
+def default_schedule() -> TruncationSchedule:
     """radius_at(n) = ln(1 + ln(max(n, 2))).
 
     The argument clamps at 2 so level 1 gets a positive radius; the level-1
     scheme applies no truncated f anyway (its correction sum is empty).
     """
-    return TruncationSchedule(
-        raw=lambda n: math.log(1.0 + math.log(max(n, 2))),
-        floor=floor,
-        name="default",
-    )
+    return TruncationSchedule(raw=lambda n: math.log(1.0 + math.log(max(n, 2))))
 
 
 def constant_schedule(r: float) -> TruncationSchedule:
     if not r > 0.0:
         raise ValueError(f"constant schedule needs r > 0, got {r}")
-    return TruncationSchedule(raw=lambda n: r, floor=0.0, name=f"constant({r:g})")
+    return TruncationSchedule(raw=lambda n: r)
 
 
 # built-in nonlinearities, addressable by name from config files
@@ -160,7 +148,6 @@ def builtin_allen_cahn() -> Nonlinearity:
         coercivity_c=1.0,
         autonomous=True,
         f_at_zero=0.0,
-        name="allen_cahn",
     )
 
 
@@ -174,7 +161,6 @@ def builtin_linear(a: float) -> Nonlinearity:
         coercivity_c=max(a, 0.0),
         autonomous=True,
         f_at_zero=0.0,
-        name="linear",
     )
 
 
@@ -186,7 +172,6 @@ def builtin_sine() -> Nonlinearity:
         coercivity_c=1.0,
         autonomous=True,
         f_at_zero=0.0,
-        name="sine",
     )
 
 
@@ -202,7 +187,6 @@ def builtin_constant_data(value: float) -> DataFunction:
         eval=_eval,
         sup_bound_kappa=abs(value),
         constant_value=value,
-        name="constant",
     )
 
 
@@ -213,7 +197,7 @@ def builtin_cosine_mean_data(kappa: float, dimension: int) -> DataFunction:
         x = np.asarray(x, dtype=np.float64)
         return kappa * np.cos(x.mean(axis=-1))
 
-    return DataFunction(eval=_eval, sup_bound_kappa=abs(kappa), name="cosine_mean")
+    return DataFunction(eval=_eval, sup_bound_kappa=abs(kappa))
 
 
 def builtin_gaussian_bump_data(kappa: float, dimension: int) -> DataFunction:
@@ -224,7 +208,7 @@ def builtin_gaussian_bump_data(kappa: float, dimension: int) -> DataFunction:
         x = np.asarray(x, dtype=np.float64)
         return kappa * np.exp(-(x * x).sum(axis=-1) / d)
 
-    return DataFunction(eval=_eval, sup_bound_kappa=abs(kappa), name="gaussian_bump")
+    return DataFunction(eval=_eval, sup_bound_kappa=abs(kappa))
 
 
 # name -> (required parameter or None, builder): the names config files use

@@ -22,9 +22,8 @@ from mlpicard.bounds import (
 from mlpicard.estimator import (
     EstimatorProbe,
     MlpParams,
-    estimate_backward,
+    estimate,
     estimate_batch,
-    estimate_forward,
     transform_to_backward,
 )
 from mlpicard.experiments import dimension_scaling, epsilon_sweep, rmse_vs_oracle
@@ -251,9 +250,7 @@ def test_criterion_2_cost_model_bound_and_measured_tallies():
                             nonlinearity=rng.choice(nonlinearities), data=data)
         t = rng.choice([0.0, horizon / 2.0, horizon])
         params = MlpParams(levels=n, branching=M, truncation_radius=5.0, seed=i)
-        run = (estimate_forward if orientation is Orientation.FORWARD
-               else estimate_backward)
-        result = run(prob, params, t, np.zeros(d))
+        result = estimate(prob, params, t, np.zeros(d))
         if result.tally.total_draws > cost_recursion(d, n, M):
             bad.append(f"draws>model at config {i}: {(d, n, M)}")
     _report(2, "cost model bounds draws, closed form bounds model", not bad,
@@ -388,8 +385,8 @@ def test_criterion_8_truncation_inactive_above_solution_bound():
         for j in range(8):
             params = MlpParams(levels=3, branching=3, truncation_radius=radius,
                                seed=3, root_node=NodeId((j,)))
-            out.append(estimate_forward(prob, params, 0.5, np.zeros(2),
-                                        probe=probe).value)
+            out.append(estimate(prob, params, 0.5, np.zeros(2),
+                                probe=probe).value)
         values[radius] = out
         if radius == 1e6:
             peak = probe.max_recursive_abs

@@ -189,8 +189,7 @@ def test_from_problem_requires_declared_f0():
     from mlpicard.problem import Nonlinearity
 
     nl = Nonlinearity(eval=lambda t, x, u: u, lipschitz_local=lambda r: 1.0,
-                      coercivity_c=1.0, autonomous=True, f_at_zero=None,
-                      name="anon")
+                      coercivity_c=1.0, autonomous=True, f_at_zero=None)
     prob = make_problem(dimension=1, horizon=0.5, nonlinearity=nl)
     with pytest.raises(ValueError):
         BoundConstants.from_problem(prob)

@@ -9,7 +9,6 @@ from mlpicard.cli import (
     RunConfig,
     main,
     parse_config,
-    serialize_config,
 )
 from mlpicard.oracles import allen_cahn_reference
 
@@ -36,14 +35,26 @@ def strip_wall(text: str) -> list:
 # configuration ---------------------------------------------------------------
 
 
-def test_config_round_trip_default_and_modified():
-    for config in (
-        RunConfig(),
-        dataclasses.replace(RunConfig(), dimension=10, radius=3.5,
-                            n_list=(0, 1, 2), a=-0.25, oracle_kind="fd",
-                            times=(0.0, 0.5), kappa=1.5, data="cosine_mean"),
-    ):
-        assert parse_config(serialize_config(config)) == config
+def test_config_parses_defaults_and_modified_values():
+    assert parse_config("") == RunConfig()
+    text = """\
+[problem]
+dimension = 10
+a = -0.25
+data = cosine_mean
+kappa = 1.5
+
+[estimator]
+n_list = 0,1,2
+radius = 3.5
+
+[oracle]
+kind = fd
+times = 0.0,0.5
+"""
+    assert parse_config(text) == dataclasses.replace(
+        RunConfig(), dimension=10, radius=3.5, n_list=(0, 1, 2), a=-0.25,
+        oracle_kind="fd", times=(0.0, 0.5), kappa=1.5, data="cosine_mean")
 
 
 def test_config_rejects_unknown_key_and_section():
@@ -116,6 +127,18 @@ def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "8/8 checks passed" in out
+
+
+def test_selftest_fails_on_a_changed_generator(capsys, monkeypatch):
+    # the golden check reads the packaged file, not the generator's own output
+    from mlpicard import randomness
+
+    raw = randomness._raw
+    monkeypatch.setattr(randomness, "_raw",
+                        lambda digest, counter: raw(digest, counter) ^ 1)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 3
+    assert "FAIL golden RNG values" in out
 
 
 def test_estimate_default_prints_datum(capsys):

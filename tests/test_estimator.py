@@ -13,9 +13,8 @@ from mlpicard.estimator import (
     CostTally,
     EstimatorProbe,
     MlpParams,
-    estimate_backward,
+    estimate,
     estimate_batch,
-    estimate_forward,
     transform_to_backward,
 )
 from mlpicard.problem import (
@@ -39,7 +38,6 @@ def no_skip_allen_cahn() -> Nonlinearity:
         coercivity_c=1.0,
         autonomous=True,
         f_at_zero=None,
-        name="allen_cahn_noskip",
     )
 
 
@@ -52,7 +50,6 @@ def forced_allen_cahn() -> Nonlinearity:
         coercivity_c=1.5,
         autonomous=False,
         f_at_zero=None,
-        name="forced_allen_cahn",
     )
 
 
@@ -62,7 +59,7 @@ def params_for(n, M, r=4.0, seed=0, **kw):
 
 def test_zero_levels_is_zero_with_zero_tally():
     prob = forward_problem(d=3)
-    res = estimate_forward(prob, params_for(0, 1), 0.5, np.zeros(3))
+    res = estimate(prob, params_for(0, 1), 0.5, np.zeros(3))
     assert res.value == 0.0
     assert res.tally == CostTally()
 
@@ -70,7 +67,7 @@ def test_zero_levels_is_zero_with_zero_tally():
 def test_single_level_single_branch_returns_datum():
     for d in (1, 2, 7):
         prob = forward_problem(d=d)
-        res = estimate_forward(prob, params_for(1, 1), 0.5, np.zeros(d))
+        res = estimate(prob, params_for(1, 1), 0.5, np.zeros(d))
         assert res.value == 2.0  # constant datum, f(0) contribution skipped at 0
         assert res.tally.gaussian_scalars == d
         assert res.tally.uniforms == 0
@@ -84,14 +81,14 @@ def test_two_levels_constant_datum_exact_value():
     for d in (1, 4):
         for seed in (0, 99):
             prob = forward_problem(d=d)
-            res = estimate_forward(prob, params_for(2, 2, seed=seed), 0.5,
-                                   np.zeros(d))
+            res = estimate(prob, params_for(2, 2, seed=seed), 0.5,
+                           np.zeros(d))
             assert res.value == -1.0
 
 
 def test_forward_at_time_zero_returns_datum():
     prob = forward_problem(d=2)
-    res = estimate_forward(prob, params_for(3, 2), 0.0, np.ones(2))
+    res = estimate(prob, params_for(3, 2), 0.0, np.ones(2))
     assert res.value == 2.0
 
 
@@ -100,36 +97,26 @@ def test_backward_at_horizon_returns_terminal_datum():
     prob = make_problem(dimension=3, horizon=0.5,
                         orientation=Orientation.BACKWARD, data=data)
     x = np.array([0.3, -1.2, 0.5])
-    res = estimate_backward(prob, params_for(1, 1), 0.5, x)
+    res = estimate(prob, params_for(1, 1), 0.5, x)
     expected = float(np.asarray(data.eval(x[None, :]))[0])
     assert res.value == expected
-
-
-def test_orientation_mismatch_rejected():
-    fwd = forward_problem()
-    bwd = make_problem(dimension=1, horizon=0.5,
-                       orientation=Orientation.BACKWARD)
-    with pytest.raises(ValueError):
-        estimate_backward(fwd, params_for(1, 1), 0.5, np.zeros(1))
-    with pytest.raises(ValueError):
-        estimate_forward(bwd, params_for(1, 1), 0.5, np.zeros(1))
 
 
 def test_point_validation():
     prob = forward_problem(d=2)
     p = params_for(1, 1)
     with pytest.raises(ValueError):
-        estimate_forward(prob, p, 0.7, np.zeros(2))  # t > T
+        estimate(prob, p, 0.7, np.zeros(2))  # t > T
     with pytest.raises(ValueError):
-        estimate_forward(prob, p, -0.1, np.zeros(2))
+        estimate(prob, p, -0.1, np.zeros(2))
     with pytest.raises(ValueError):
-        estimate_forward(prob, p, 0.5, np.zeros(3))  # wrong dimension
+        estimate(prob, p, 0.5, np.zeros(3))  # wrong dimension
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            estimate_forward(prob, p, 0.5, np.array([0.0, bad]))
+            estimate(prob, p, 0.5, np.array([0.0, bad]))
         with pytest.raises(ValueError, match="finite"):
             estimate_batch(prob, p, 0.5, np.array([bad, 0.0]), 2)
-    scalar_ok = estimate_forward(forward_problem(d=1), p, 0.5, 0.0)
+    scalar_ok = estimate(forward_problem(d=1), p, 0.5, 0.0)
     assert scalar_ok.value == 2.0
 
 
@@ -147,7 +134,7 @@ def test_tally_matches_cost_model_without_f_at_zero():
     for d, n, M in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 3, 2), (2, 2, 2),
                     (3, 2, 3), (2, 3, 3)]:
         prob = make_problem(dimension=d, horizon=0.5, nonlinearity=nl)
-        res = estimate_forward(prob, params_for(n, M), 0.25, np.zeros(d))
+        res = estimate(prob, params_for(n, M), 0.25, np.zeros(d))
         model = cost_recursion(d, n, M)
         assert res.tally.total_draws == model, (d, n, M)
         assert model <= cost_bound(d, n, M)
@@ -156,7 +143,7 @@ def test_tally_matches_cost_model_without_f_at_zero():
 def test_declared_f_at_zero_strictly_saves_draws():
     d, n, M = 1, 3, 3
     skip = forward_problem(d=d)
-    res_skip = estimate_forward(skip, params_for(n, M), 0.5, np.zeros(d))
+    res_skip = estimate(skip, params_for(n, M), 0.5, np.zeros(d))
     model = cost_recursion(d, n, M)
     assert res_skip.tally.total_draws < model
     # the skipped draws are exactly the level-0 f-samples: 1 uniform + d
@@ -169,7 +156,7 @@ def test_batch_matches_prepended_singles():
     params = params_for(3, 2, seed=11)
     batch = estimate_batch(prob, params, 0.5, np.zeros(2), 4)
     for j, res in enumerate(batch):
-        single = estimate_forward(
+        single = estimate(
             prob, dataclasses.replace(params, root_node=NodeId((j,))),
             0.5, np.zeros(2))
         assert res.value == single.value
@@ -199,8 +186,8 @@ def test_caller_point_is_never_written(monkeypatch):
     params = params_for(3, 3, seed=2)
     x = np.array([0.25, -0.5, 1.0])
     before = x.copy()
-    estimate_forward(fwd, params, 0.5, x)
-    estimate_backward(bwd, params, 0.1, x)
+    estimate(fwd, params, 0.5, x)
+    estimate(bwd, params, 0.1, x)
     for prob in (fwd, bwd):
         # three 4-lane chunks over two workers
         estimate_batch(prob, params, 0.2, x, 10, worker_count=2)
@@ -230,8 +217,6 @@ def test_batch_pool_starts_no_more_workers_than_chunks(monkeypatch):
 def _tile_run(prob, params, t, x):
     # a single recorded run and a multi-chunk batch on 2 workers
     probe = EstimatorProbe(record_paths=True)
-    estimate = (estimate_forward if prob.orientation is Orientation.FORWARD
-                else estimate_backward)
     single = estimate(prob, params, t, x, probe=probe)
     batch = estimate_batch(prob, params, t, x, 7, worker_count=2)
     return (single.value, single.tally, probe.max_recursive_abs,
@@ -275,7 +260,7 @@ def test_peak_memory_is_bounded_by_tiles(n):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        estimate_forward(prob, params, 0.05, np.zeros(d))
+        estimate(prob, params, 0.05, np.zeros(d))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -286,8 +271,8 @@ def test_peak_memory_is_bounded_by_tiles(n):
 def test_correction_nodes_share_time_and_point():
     prob = forward_problem(d=2)
     probe = EstimatorProbe(record_paths=True)
-    estimate_forward(prob, params_for(3, 2, seed=3), 0.5, np.zeros(2),
-                     probe=probe)
+    estimate(prob, params_for(3, 2, seed=3), 0.5, np.zeros(2),
+             probe=probe)
     assert probe.correction_samples
     entries = {(path, level): point
                for path, level, point in probe.eval_entries}
@@ -303,8 +288,8 @@ def test_recording_leaves_values_and_tallies_unchanged():
     prob = forward_problem(d=2)
     params = params_for(3, 2, seed=3)
     probe = EstimatorProbe(record_paths=True)
-    recorded = estimate_forward(prob, params, 0.5, np.zeros(2), probe=probe)
-    plain = estimate_forward(prob, params, 0.5, np.zeros(2))
+    recorded = estimate(prob, params, 0.5, np.zeros(2), probe=probe)
+    plain = estimate(prob, params, 0.5, np.zeros(2))
     assert recorded.value == plain.value
     assert recorded.tally == plain.tally
 
@@ -321,7 +306,6 @@ def test_recorded_correction_draws_follow_their_laws():
         prob = make_problem(dimension=d, horizon=horizon,
                             orientation=orientation)
         forward = orientation is Orientation.FORWARD
-        estimate = estimate_forward if forward else estimate_backward
         for seed in range(300):
             probe = EstimatorProbe(record_paths=True)
             estimate(prob, params_for(4, 4, seed=seed), t, x0, probe=probe)
@@ -346,20 +330,20 @@ def test_recorded_correction_draws_follow_their_laws():
 def test_truncation_inactive_radii_are_equivalent():
     prob = forward_problem(d=2)
     probe = EstimatorProbe()
-    res_small = estimate_forward(prob, params_for(3, 3, r=1e6, seed=2), 0.5,
-                                 np.zeros(2), probe=probe)
-    res_large = estimate_forward(prob, params_for(3, 3, r=1e9, seed=2), 0.5,
-                                 np.zeros(2))
+    res_small = estimate(prob, params_for(3, 3, r=1e6, seed=2), 0.5,
+                         np.zeros(2), probe=probe)
+    res_large = estimate(prob, params_for(3, 3, r=1e9, seed=2), 0.5,
+                         np.zeros(2))
     assert probe.max_recursive_abs < 1e6
     assert res_small.value == res_large.value
 
 
 def test_truncation_active_radius_changes_value():
     prob = forward_problem(d=2)
-    res_tight = estimate_forward(prob, params_for(3, 3, r=0.5, seed=2), 0.5,
-                                 np.zeros(2))
-    res_loose = estimate_forward(prob, params_for(3, 3, r=1e9, seed=2), 0.5,
-                                 np.zeros(2))
+    res_tight = estimate(prob, params_for(3, 3, r=0.5, seed=2), 0.5,
+                         np.zeros(2))
+    res_loose = estimate(prob, params_for(3, 3, r=1e9, seed=2), 0.5,
+                         np.zeros(2))
     assert res_tight.value != res_loose.value
 
 
@@ -386,7 +370,7 @@ def test_backward_twin_of_terminal_point_returns_transformed_datum():
     twin = transform_to_backward(prob)
     # backward value at t = T is the terminal datum g(x) = data(x * sqrt 2)
     x = np.array([0.7, -0.2])
-    res = estimate_backward(twin, params_for(1, 1), prob.horizon, x)
+    res = estimate(twin, params_for(1, 1), prob.horizon, x)
     expected = float(np.asarray(twin.data.eval(x[None, :]))[0])
     assert res.value == expected
 

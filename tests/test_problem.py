@@ -60,8 +60,9 @@ def test_linear_and_sine_metadata():
 
 
 def test_nonlinearity_registry():
-    assert builtin_nonlinearity("allen_cahn").name == "allen_cahn"
-    assert builtin_nonlinearity("linear", a=2.0).name == "linear"
+    # each name reaches its own builder: L(1) = 6 is Allen-Cahn's, c = a linear's
+    assert builtin_nonlinearity("allen_cahn").lipschitz_local(1.0) == 6.0
+    assert builtin_nonlinearity("linear", a=2.0).coercivity_c == 2.0
     with pytest.raises(ValueError):
         builtin_nonlinearity("linear")  # missing a
     with pytest.raises(ValueError):
@@ -120,11 +121,6 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         constant_schedule(0.0)
     assert constant_schedule(2.5).radius_at(17) == 2.5
-
-
-def test_schedule_floor():
-    sched = default_schedule(floor=3.0)
-    assert sched.radius_at(2) == 3.0
 
 
 @given(finite_floats, radii)

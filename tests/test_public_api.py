@@ -1,41 +1,63 @@
-"""Dead-API guard: every exported name has a caller outside the tests."""
+"""Dead-API guard: every package definition has a caller outside the tests."""
 
-import io
+import ast
 import pathlib
-import tokenize
-
-import mlpicard
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def used_names(text):
-    # Python name tokens of the code: strings and comments are tokens of
-    # their own, so a name that only a message or a comment mentions is no
-    # use; neither is the name that a def or class line gives
-    names, previous = set(), None
-    for token in tokenize.generate_tokens(io.StringIO(text).readline):
-        if token.type == tokenize.NAME and previous not in ("def", "class"):
-            names.add(token.string)
-        previous = token.string
+    # names the code reads: Name and Attribute nodes and keyword-argument
+    # names, f-string expressions included.  Strings and comments are no
+    # use, and neither is a name that a def, class or parameter gives
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
     return names
 
 
+def defined_names(text):
+    # (label, name) of each module-level def and class, and of each public
+    # method of those classes
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+
+
+def _sources(*folders):
+    return [path.read_text(encoding="utf-8")
+            for folder in folders
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            if path.name != "__init__.py"]
+
+
 def test_every_exported_name_is_used_outside_tests():
-    # package, demo and benchmark code count; the re-exports do not
-    used = set().union(*(used_names(path.read_text(encoding="utf-8"))
-                         for folder in ("src", "demos", "bench")
-                         for path in sorted((ROOT / folder).rglob("*.py"))
-                         if path.name != "__init__.py"))
-    unused = [name for name in mlpicard.__all__ if name not in used]
-    assert not unused, f"exported but used only by tests: {unused}"
+    # package, demo and benchmark code count; the re-exports do not.  Every
+    # name in mlpicard.__all__ is one of these definitions
+    used = set().union(*map(used_names, _sources("src", "demos", "bench")))
+    unused = [label for text in _sources("src")
+              for label, name in defined_names(text) if name not in used]
+    assert not unused, f"defined but used only by tests: {unused}"
 
 
 def test_names_in_strings_comments_and_definitions_are_not_uses():
     text = ("def alpha(x):\n"
             "    raise ValueError('alpha needs beta')  # gamma\n"
             "class Delta(Base):\n"
-            "    pass\n")
+            "    def eta(self):\n"
+            "        return f'{theta.iota!r} kappa' + lam(mu=1)\n")
     names = used_names(text)
-    assert {"x", "ValueError", "Base"} <= names
-    assert not {"alpha", "beta", "gamma", "Delta"} & names
+    assert {"ValueError", "Base", "theta", "iota", "lam", "mu"} <= names
+    assert not {"alpha", "x", "beta", "gamma", "Delta", "eta", "kappa"} & names
+    assert list(defined_names(text)) == [("alpha", "alpha"), ("Delta", "Delta"),
+                                         ("Delta.eta", "eta")]
