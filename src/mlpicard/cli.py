@@ -416,11 +416,20 @@ def cmd_sweep(config: RunConfig, out: Optional[str], threads: int) -> int:
         consts = bounds.surrogate_constants()
     else:
         consts = bounds.BoundConstants.from_problem(build_problem(config))
-    result = experiments.epsilon_sweep(
-        consts, build_schedule(config), config.delta,
-        config.epsilon_list, config.d_list,
-        k_offset=config.k_offset, n_max=config.n_max,
-    )
+    try:
+        result = experiments.epsilon_sweep(
+            consts, build_schedule(config), config.delta,
+            config.epsilon_list, config.d_list,
+            k_offset=config.k_offset, n_max=config.n_max,
+        )
+    except bounds.CapExceededError as exc:
+        if config.constants == "surrogate":
+            raise
+        # the default problem's bound (T = 0.5) still rises at n_max = 64
+        raise bounds.CapExceededError(
+            f"{exc}; set [experiment] constants = surrogate, or use a shorter "
+            "[problem] horizon (T = 0.05 selects 13-19 levels)",
+            exc.epsilon, exc.n_max, exc.smallest_bound) from exc
     path = out or "sweep.csv"
     experiments.write_rows(path, experiments.SweepRow, result.rows)
     print(f"sweep: {len(result.rows)} rows -> {path}; "

@@ -137,13 +137,19 @@ def constant_schedule(r: float) -> TruncationSchedule:
 
 
 def builtin_allen_cahn() -> Nonlinearity:
-    """f(u) = u - u**3.
+    """f(u) = u - u**3, evaluated as u - (u * u) * u.
+
+    Two multiplies cost about a tenth of numpy's float ``power`` (80-100 ns
+    per element), and f runs in every Picard correction and every FD
+    reaction substep.  The product rounds twice where ``pow`` rounds once;
+    it stays within 2 ulp of max(|u|, |u|^3), odd bit for bit, and exact
+    at 0, so ``f_at_zero`` holds.
 
     On [-r, r]: |f(v)-f(w)| <= (1 + v^2 + vw + w^2)|v-w| <= 2(1+2r^2)|v-w|,
     and v f(v) = v^2 - v^4 <= 1 + v^2, so L(r) = 2(1+2r^2) and c = 1.
     """
     return Nonlinearity(
-        eval=lambda t, x, u: u - u**3,
+        eval=lambda t, x, u: u - u * u * u,
         lipschitz_local=lambda r: 2.0 * (1.0 + 2.0 * r * r),
         coercivity_c=1.0,
         autonomous=True,

@@ -265,6 +265,17 @@ def test_cap_exceeded_exits_4(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_default_sweep_exits_4_and_names_the_fix(tmp_path, capsys):
+    # the default problem's bound still rises at n_max = 64
+    code, out, err = run(capsys, "sweep", "--out", str(tmp_path / "x.csv"))
+    assert code == 4
+    assert out == ""
+    assert "bound sequence not decreasing at n_max=64" in err
+    assert "set [experiment] constants = surrogate" in err
+    assert "shorter [problem] horizon (T = 0.05" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_bad_thread_count_exits_2(capsys):
     code, _, err = run(capsys, "selftest", "--threads", "0")
     assert code == 2

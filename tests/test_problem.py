@@ -1,12 +1,14 @@
 """Problem definitions, clamp semantics, schedules, metadata grid checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlpicard.bounds import rho_min
 from mlpicard.problem import (
     DataFunction,
     Orientation,
@@ -38,6 +40,31 @@ def test_allen_cahn_values():
     assert nl.coercivity_c == 1.0
     assert nl.f_at_zero == 0.0
     assert nl.autonomous
+
+
+def test_allen_cahn_reaction_is_faithfully_rounded():
+    # u - (u * u) * u rounds three times; against the exact rational u - u^3
+    # it stays within 2 ulp of max(|u|, |u|^3), on [-r, r] for the default
+    # schedule's radii at levels 2 and 64 and the default problem's rho_min
+    nl = builtin_allen_cahn()
+    f = lambda u: nl.eval(np.zeros(u.size), np.zeros((u.size, 1)), u)
+    radii = (default_schedule().radius_at(2), default_schedule().radius_at(64),
+             rho_min(make_problem(dimension=1, horizon=0.5)))
+    tiny = math.ulp(0.0)
+    u = np.concatenate([np.linspace(-r, r, 2001) for r in radii]
+                       + [np.array([0.0, 1.0, -1.0, tiny, -tiny])])
+    fu = f(u)
+    for ui, fi in zip(u.tolist(), fu.tolist()):
+        error = abs(Fraction(fi) - (Fraction(ui) - Fraction(ui) ** 3))
+        assert error <= 2 * Fraction(math.ulp(max(abs(ui), abs(ui) ** 3))), ui
+    # odd: equal nonzero floats share their bits, and f(1) = f(-1) = +0
+    assert np.array_equal(f(-u), -fu)
+    # |u|^3 past the float range overflows to the sign of -u, as pow does
+    with np.errstate(over="ignore"):
+        assert f(np.array([1e154, -1e154])).tolist() == [-math.inf, math.inf]
+    # the estimator's skip_f0 path adds f_at_zero in place of f(0)
+    assert f(np.zeros(1))[0].hex() == nl.f_at_zero.hex()
+    assert float(nl.eval(0.0, np.zeros(1), 0.0)).hex() == nl.f_at_zero.hex()
 
 
 def test_allen_cahn_coercivity_hand_example():
