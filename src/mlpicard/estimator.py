@@ -40,6 +40,20 @@ function of (seed, node path, counter): every lane and every row is
 computed on its own, so tiles, chunks and thread counts cannot change a
 value, a tally or a recorded entry.
 
+The arrays the engine allocates itself (the node digests, the uniforms,
+which become the sampled times in place, the standard deviations and each
+tile of points) come from one scratch store per run, that is per chunk
+and so per worker thread; nothing is shared across threads.  The store is
+one buffer, sized before the run to the most those arrays hold at once,
+handed out and taken back in stack order as the recursion enters and
+leaves a frame or a tile, and released when the run returns.  So a frame
+reuses the bytes of its predecessor instead of asking the allocator
+again, which at d = 1 used to trim and re-fault the same pages on every
+call, and the store never holds more than the run's largest live set.
+A value a data or reaction callable returns is copied out when it shares
+the store (a callable may return a view of its input), so no later frame
+can overwrite it.
+
 ``estimate`` gives one realization and ``estimate_batch`` K of them, both
 through the same lane entry and in the orientation the problem carries.
 """
@@ -158,6 +172,47 @@ class _MutableTally:
         )
 
 
+class _Scratch:
+    """One run's store for the arrays the estimator allocates itself.
+
+    It is one buffer of ``size`` uint64 elements, the most the run's
+    planned takes hold at once (``_Engine._peak``).  ``take`` hands out
+    C-contiguous arrays from it in stack order and ``release`` pops back to
+    a ``mark``, so a later array reuses the bytes of the ones released
+    before it and the store never holds more than the run's largest live
+    set.  The plan is the contract: a take that does not fit means
+    ``_peak`` and ``_evaluate`` have drifted apart, and it raises.
+    """
+
+    def __init__(self, size: int):
+        self._buf = np.empty(size, dtype=np.uint64)
+        self._used = 0
+        self._stack = []     # _used before each live array
+
+    def take(self, shape, dtype=np.uint64):
+        size = math.prod(shape)
+        if self._used + size > self._buf.size:
+            raise AssertionError(
+                f"scratch plan of {self._buf.size} elements is short: "
+                f"{self._used} in use, {size} more taken")
+        self._stack.append(self._used)
+        buf = self._buf[self._used:self._used + size]
+        self._used += size
+        return buf.view(dtype).reshape(shape)
+
+    def mark(self) -> int:
+        return len(self._stack)
+
+    def release(self, mark: int):
+        if mark < len(self._stack):
+            self._used = self._stack[mark]
+            del self._stack[mark:]
+
+    def holds(self, values) -> bool:
+        # whether values share the buffer, which later takes reuse
+        return np.may_share_memory(values, self._buf)
+
+
 class _Engine:
     def __init__(self, problem: PdeProblem, params: MlpParams, probe=None):
         self.params = params
@@ -178,15 +233,32 @@ class _Engine:
         # multiplies the f term and every correction; also the data elapsed
         return t if self.forward else self.horizon - t
 
-    def _sample_time(self, t, u):
-        # R uniform on [0, t] forward, on [t, T] backward
-        return t * u if self.forward else t + (self.horizon - t) * u
+    def _absorb(self, digests, depth, elems):
+        # digests (B, 1) and elems a scalar or an (m,) array
+        out = self.scratch.take((digests.shape[0], np.size(elems)))
+        return absorb_vec(digests, depth, elems, out=out)
+
+    def _sample_times(self, t, digests):
+        # R uniform on [0, t] forward (t * u), on [t, T] backward
+        # (t + (T - t) * u), formed in the uniforms' own array
+        u = uniforms_vec(digests, 0,
+                         out=self.scratch.take(digests.shape, np.float64))
+        if self.forward:
+            u *= t
+        else:
+            u *= self.horizon - t
+            u += t
+        return u
 
     def _scale(self, t, r):
         # Brownian standard deviation sqrt(vs * elapsed) between the
         # evaluation time t and the sampled time r, computed in place in the
-        # fresh elapsed array (never in t or outer, which are read again)
-        elapsed = t - r if self.forward else r - t
+        # elapsed array (never in t or outer, which are read again)
+        elapsed = self.scratch.take(r.shape, np.float64)
+        if self.forward:
+            np.subtract(t, r, out=elapsed)
+        else:
+            np.subtract(r, t, out=elapsed)
         elapsed *= self.vs
         return np.sqrt(elapsed, out=elapsed)
 
@@ -222,18 +294,60 @@ class _Engine:
         return out.reshape(digests.shape)
 
     def _sample_tile(self, x, scale, digests, slots, evaluate, tile):
-        z = gaussians_vec(digests[tile][:, :, None], slots)
+        scratch = self.scratch
+        mark = scratch.mark()
+        dig = digests[tile]
+        z = gaussians_vec(dig[:, :, None], slots,
+                          out=scratch.take((*dig.shape, self.d), np.float64))
         pts = self._smear(x[tile[0]], scale[tile], z)
-        return evaluate(pts.reshape(-1, self.d), tile)
+        values = evaluate(pts.reshape(-1, self.d), tile)
+        # a callable may return a view of its input; the store reuses it
+        if scratch.holds(values):
+            values = values.copy()
+        scratch.release(mark)
+        return values
+
+    def _peak(self, n, lanes, seen):
+        # elements the store holds at most while _evaluate(n) runs on
+        # lanes: its takes in their order, each tile's recursion above them.
+        # The first tile of a pass is its largest.  seen memoizes (n, lanes)
+        if n == 0:
+            return 0
+        if (n, lanes) in seen:
+            return seen[n, lanes]
+        M, d = self.params.branching, self.d
+
+        def first_tile_rows(m):
+            b, j = next(self._tiles(lanes, m))
+            return (b.stop - b.start) * (j.stop - j.start)
+
+        Mn = M**n
+        # dig_zero, then dig_data or (dig_f, uniforms, scale), then a tile
+        peak = lanes + (1 if self.skip_f0 else 3) * lanes * Mn \
+            + first_tile_rows(Mn) * d
+        for k in range(1, n):
+            Mm = M ** (n - k)
+            rows = first_tile_rows(Mm)
+            # two absorbs per digest array (dig_lo from k = 2), uniforms
+            # and scale, then a tile and the recursion at levels k, k - 1
+            digs = (2 if k > 1 else 1) * (lanes + lanes * Mm)
+            peak = max(peak, digs + 2 * lanes * Mm + rows * d + max(
+                self._peak(k, rows, seen), self._peak(k - 1, rows, seen)))
+        seen[n, lanes] = peak
+        return peak
 
     # the recursion ------------------------------------------------------
 
     def run(self, t, x, digests, depth, tally):
         recording = self.probe is not None and self.probe.record_paths
-        return self._evaluate(
-            self.params.levels, t, x, digests, depth, tally,
-            paths=[self.params.root_node.path] if recording else None,
-        )
+        self.scratch = _Scratch(self._peak(self.params.levels, t.shape[0], {}))
+        try:
+            return self._evaluate(
+                self.params.levels, t, x, digests, depth, tally,
+                paths=[self.params.root_node.path] if recording else None,
+            )
+        finally:
+            self.scratch = None
 
     def _evaluate(self, n, t, x, digests, depth, tally, paths=None):
         # tally counts the draws and evaluations of all B lanes.  paths
@@ -250,18 +364,22 @@ class _Engine:
         M = self.params.branching
         nl, data = self.nl, self.data
         d = self.d
+        scratch = self.scratch
+        frame = scratch.mark()
         outer = self._outer_coef(t)
 
         # level 0: data samples at nodes (theta, 0, -m), m = 1..M^n.  Their
         # elapsed time is outer for every m, so one square root per lane
         Mn = M**n
         ms = np.arange(1, Mn + 1, dtype=np.int64)
-        dig_zero = absorb_vec(digests[:, None], depth + 1, 0)
-        dig_data = absorb_vec(dig_zero, depth + 2, -ms)
+        dig_zero = self._absorb(digests[:, None], depth + 1, 0)
+        above_zero = scratch.mark()
+        dig_data = self._absorb(dig_zero, depth + 2, -ms)
         vals = self._sample(
             x, np.broadcast_to(np.sqrt(self.vs * outer)[:, None], (B, Mn)),
             dig_data, self.gauss_slots, lambda pts, tile: data.eval(pts),
         )
+        scratch.release(above_zero)
         tally.gaussian_scalars += vals.size * d
         tally.data_evals += vals.size
         total = vals.mean(axis=1)
@@ -271,8 +389,8 @@ class _Engine:
         if self.skip_f0:
             total = total + outer * nl.f_at_zero
         else:
-            dig_f = absorb_vec(dig_zero, depth + 2, ms)
-            r_times = self._sample_time(t[:, None], uniforms_vec(dig_f, 0))
+            dig_f = self._absorb(dig_zero, depth + 2, ms)
+            r_times = self._sample_times(t[:, None], dig_f)
             fvals = self._sample(
                 x, self._scale(t[:, None], r_times), dig_f, self.slots1,
                 lambda pts, tile: nl.eval(
@@ -282,20 +400,21 @@ class _Engine:
             tally.gaussian_scalars += fvals.size * d
             tally.f_evals += fvals.size
             total = total + outer * fvals.mean(axis=1)
+        scratch.release(frame)
 
         # corrections k = 1..n-1: (R, X) drawn once at (theta, k, m) and fed
         # to BOTH the level-k and the level-(k-1) evaluation
         for k in range(1, n):
             Mm = M ** (n - k)
             ms = np.arange(1, Mm + 1, dtype=np.int64)
-            dig_km = absorb_vec(
-                absorb_vec(digests[:, None], depth + 1, k), depth + 2, ms)
+            dig_km = self._absorb(
+                self._absorb(digests[:, None], depth + 1, k), depth + 2, ms)
             # level 0 never reads its digests, so k == 1 skips their absorb
             dig_lo = None
             if k > 1:
-                dig_lo = absorb_vec(
-                    absorb_vec(digests[:, None], depth + 1, -k), depth + 2, ms)
-            r_times = self._sample_time(t[:, None], uniforms_vec(dig_km, 0))
+                dig_lo = self._absorb(
+                    self._absorb(digests[:, None], depth + 1, -k), depth + 2, ms)
+            r_times = self._sample_times(t[:, None], dig_km)
             hi_paths = lo_paths = None
             if paths is not None:
                 hi_paths = [p + (k, m) for p in paths for m in range(1, Mm + 1)]
@@ -311,6 +430,7 @@ class _Engine:
             tally.gaussian_scalars += diff.size * d
             tally.f_evals += 2 * diff.size
             total = total + (outer / Mm) * diff.sum(axis=1)
+            scratch.release(frame)
 
         return total
 

@@ -143,13 +143,21 @@ def builtin_allen_cahn() -> Nonlinearity:
     per element), and f runs in every Picard correction and every FD
     reaction substep.  The product rounds twice where ``pow`` rounds once;
     it stays within 2 ulp of max(|u|, |u|^3), odd bit for bit, and exact
-    at 0, so ``f_at_zero`` holds.
+    at 0, so ``f_at_zero`` holds.  The cube is formed in its own array and
+    the difference written over it, so an array u costs one new array.
 
     On [-r, r]: |f(v)-f(w)| <= (1 + v^2 + vw + w^2)|v-w| <= 2(1+2r^2)|v-w|,
     and v f(v) = v^2 - v^4 <= 1 + v^2, so L(r) = 2(1+2r^2) and c = 1.
     """
+    def _eval(t, x, u):
+        v = u * u
+        v *= u
+        if isinstance(v, np.ndarray):
+            return np.subtract(u, v, out=v)
+        return u - v  # scalar u
+
     return Nonlinearity(
-        eval=lambda t, x, u: u - u * u * u,
+        eval=_eval,
         lipschitz_local=lambda r: 2.0 * (1.0 + 2.0 * r * r),
         coercivity_c=1.0,
         autonomous=True,
@@ -197,22 +205,37 @@ def builtin_constant_data(value: float) -> DataFunction:
 
 
 def builtin_cosine_mean_data(kappa: float, dimension: int) -> DataFunction:
-    """g(x) = kappa * cos(mean(x)); |g| <= kappa everywhere."""
+    """g(x) = kappa * cos(mean(x)); |g| <= kappa everywhere.
+
+    Evaluated in the array of the means, so rows of x cost one new array.
+    """
 
     def _eval(x):
         x = np.asarray(x, dtype=np.float64)
-        return kappa * np.cos(x.mean(axis=-1))
+        g = np.asarray(x.mean(axis=-1))
+        np.cos(g, out=g)
+        g *= kappa
+        return g[()]  # a scalar for a single point
 
     return DataFunction(eval=_eval, sup_bound_kappa=abs(kappa))
 
 
 def builtin_gaussian_bump_data(kappa: float, dimension: int) -> DataFunction:
-    """g(x) = kappa * exp(-|x|^2 / d); |g| <= kappa everywhere."""
+    """g(x) = kappa * exp(-|x|^2 / d); |g| <= kappa everywhere.
+
+    Evaluated in the array of the squared norms, so past x * x, rows of x
+    cost one new array.
+    """
     d = dimension
 
     def _eval(x):
         x = np.asarray(x, dtype=np.float64)
-        return kappa * np.exp(-(x * x).sum(axis=-1) / d)
+        g = np.asarray((x * x).sum(axis=-1))
+        np.negative(g, out=g)
+        g /= d
+        np.exp(g, out=g)
+        g *= kappa
+        return g[()]  # a scalar for a single point
 
     return DataFunction(eval=_eval, sup_bound_kappa=abs(kappa))
 

@@ -34,10 +34,12 @@ The gaussian argument lies strictly inside (0, 1), so ``ndtri`` is finite.
 Gaussian vectors of length d consume exactly d consecutive counter slots.
 
 The vectorized kernels evaluate this recipe in place: each mixes the array
-it returns with ``out=`` passes, allocating no full-size temporaries.
-``gaussians_vec`` walks its output in blocks of ``_BLOCK`` elements, so each
-pass after the first runs in cache; every value is the same as the unblocked
-recipe, bit for bit.
+it returns with ``out=`` passes, walking it in blocks of ``_BLOCK`` elements
+with one block of scratch, so no full-size temporary exists and each pass
+after the first runs in cache; every value is the same as the unblocked
+recipe, bit for bit.  Each kernel also takes ``out=``, a C-contiguous array
+of the broadcast shape that it fills and returns, so a caller can reuse its
+own buffers.
 """
 
 from __future__ import annotations
@@ -117,6 +119,25 @@ def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
+def _flat(words: np.ndarray) -> np.ndarray:
+    # words as one flat view; the kernels mix in place, so a copy would
+    # lose the result (their own outputs are C-contiguous; an out= must be)
+    if not words.flags.c_contiguous:
+        raise ValueError("kernel output must be C-contiguous")
+    return words.reshape(-1)
+
+
+def _mix64_blocks(words: np.ndarray) -> np.ndarray:
+    # mix64 over words in place, _BLOCK elements at a time with one block
+    # of scratch
+    flat = _flat(words)
+    tmp = np.empty(min(_BLOCK, flat.size), dtype=np.uint64)
+    for lo in range(0, flat.size, _BLOCK):
+        w = flat[lo:lo + _BLOCK]
+        _mix64_into(w, tmp[:w.size])
+    return words
+
+
 def _zigzag_vec(v: np.ndarray) -> np.ndarray:
     # (v << 1) XOR (v >> 63, all ones for v < 0) is zigzag in two's
     # complement, and unlike 2v and -2v - 1 it cannot overflow
@@ -131,54 +152,61 @@ def _slot_offsets(counters) -> np.ndarray:
     return np.multiply(np.add(c, np.uint64(1)), _NP_PHI)
 
 
-def absorb_vec(digests: np.ndarray, depth: int, elems) -> np.ndarray:
+def absorb_vec(digests: np.ndarray, depth: int, elems,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Extend digests (any shape) by one path element at 1-based ``depth``.
 
     ``elems`` broadcasts against ``digests``; both scalars and arrays of
-    per-lane indices are accepted.
+    per-lane indices are accepted.  ``out`` (uint64) receives the result.
     """
     offset = np.uint64((depth * _PHI64) & _MASK64)
-    z = np.asarray(np.add(_zigzag_vec(elems), offset))
-    _mix64_into(z, np.empty_like(z))
-    h = np.asarray(np.bitwise_xor(digests, z))
-    _mix64_into(h, np.empty_like(h))
-    return h
+    z = _mix64_blocks(
+        np.asarray(np.add(_zigzag_vec(elems), offset, order="C")))
+    return _mix64_blocks(
+        np.asarray(np.bitwise_xor(digests, z, order="C", out=out)))
 
 
-def raw_vec(digests: np.ndarray, counters) -> np.ndarray:
+def raw_vec(digests: np.ndarray, counters,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Raw 64-bit words at the given counter slots (broadcasting)."""
-    w = np.asarray(np.add(digests, _slot_offsets(counters)))
-    _mix64_into(w, np.empty_like(w))
-    return w
+    return _mix64_blocks(
+        np.asarray(np.add(digests, _slot_offsets(counters), order="C",
+                          out=out)))
 
 
-def uniforms_vec(digests: np.ndarray, counters) -> np.ndarray:
-    w = raw_vec(digests, counters)
+def uniforms_vec(digests: np.ndarray, counters,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Uniforms in [0, 1) at the given counter slots; ``out`` is float64."""
+    w = raw_vec(digests, counters,
+                out=None if out is None else out.view(np.uint64))
     w >>= _NP_S11
     out = w.view(np.float64)
     np.multiply(w, _U53_SCALE, out=out)
     return out
 
 
-def gaussians_vec(digests: np.ndarray, counters) -> np.ndarray:
+def gaussians_vec(digests: np.ndarray, counters,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Standard gaussians at the given counter slots (broadcasting).
 
     The words are formed in the float64 output itself, then converted block
     by block, so one full-size array exists and each pass stays in cache.
+    ``out`` (float64) receives the result.
     """
-    words = np.asarray(np.add(digests, _slot_offsets(counters), order="C"))
-    out = words.view(np.float64)
-    flat, flat_words = out.reshape(-1), words.reshape(-1)
+    words = np.asarray(np.add(
+        digests, _slot_offsets(counters), order="C",
+        out=None if out is None else out.view(np.uint64)))
+    flat = _flat(words)
     tmp = np.empty(min(_BLOCK, flat.size), dtype=np.uint64)
     for lo in range(0, flat.size, _BLOCK):
-        w = flat_words[lo:lo + _BLOCK]
-        g = flat[lo:lo + _BLOCK]
+        w = flat[lo:lo + _BLOCK]
         _mix64_into(w, tmp[:w.size])
         w >>= _NP_S11
+        g = w.view(np.float64)
         np.add(w, 0.5, out=g)
         g *= _U53_SCALE
         ndtri(g, out=g)
-    return out
+    return words.view(np.float64)
 
 
 @dataclass(frozen=True)

@@ -268,6 +268,105 @@ def test_peak_memory_is_bounded_by_tiles(n):
     assert peak <= bound, (n, peak, bound)
 
 
+def test_peak_memory_is_bounded_by_tiles_at_d1():
+    # the table_d1 shape: K = 2 lanes at d = 1, n = M = 6.  Every level
+    # folds K * M^n (lane, sample) pairs, so a tile holds at most
+    # min(_TILE, K * M^n * d) elements, and (n + 2) of them plus the
+    # scalar arrays of the d = 1000 cases, K times over, bound the run
+    n, K, d = 6, 2, 1
+    prob = make_problem(dimension=d, horizon=0.1,
+                        data=builtin_data("cosine_mean", d, kappa=1.0))
+    params = params_for(n, n, r=3.0, seed=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        estimate_batch(prob, params, 0.1, np.zeros(d), K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = ((n + 2) * min(estimator._TILE, K * n**n * d) * 8
+             + 16 * 8 * K * n**n)
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("tile", [None, 7])
+def test_scratch_holds_exactly_the_largest_live_set(monkeypatch, tile):
+    # the store is sized by its plan before the run: a take that does not
+    # fit raises, and no byte of it may go unused at the peak
+    runs = []
+
+    class Audited(estimator._Scratch):
+        def __init__(self, size):
+            super().__init__(size)
+            self.high = 0
+            runs.append(self)
+
+        def take(self, shape, dtype=np.uint64):
+            out = super().take(shape, dtype)
+            self.high = max(self.high, self._used)
+            return out
+
+    monkeypatch.setattr(estimator, "_Scratch", Audited)
+    if tile is not None:
+        monkeypatch.setattr(estimator, "_TILE", tile)
+    for d, n, M, K, nl in itertools.product(
+            (1, 3, 100), (1, 2, 4), (1, 3), (1, 5),
+            (None, no_skip_allen_cahn())):
+        if M**n * d * K > 1e5:
+            continue
+        runs.clear()
+        prob = make_problem(dimension=d, horizon=0.5, nonlinearity=nl)
+        estimate_batch(prob, params_for(n, M, seed=1), 0.4, np.zeros(d), K)
+        [run] = runs
+        assert run.high == run._buf.size, (d, n, M, K)
+
+
+def test_scratch_take_beyond_its_plan_raises():
+    # a plan that falls short is a bug in _peak, never a silent allocation
+    scratch = estimator._Scratch(4)
+    scratch.take((1, 3))
+    with pytest.raises(AssertionError, match="short"):
+        scratch.take((2,))
+
+def _aliasing_problems(orientation):
+    # callables that return views of their inputs (the data a column of the
+    # points, the reactions u or t), and twins that return copies
+    def problem(data, reaction):
+        nl = Nonlinearity(eval=reaction, lipschitz_local=lambda r: 1.0,
+                          coercivity_c=1.0, autonomous=False)
+        return make_problem(dimension=2, horizon=0.5, orientation=orientation,
+                            nonlinearity=nl,
+                            data=dataclasses.replace(
+                                builtin_data("cosine_mean", 2, kappa=1.0),
+                                eval=data))
+
+    for reaction, twin in ((lambda t, x, u: u, lambda t, x, u: u.copy()),
+                           (lambda t, x, u: t, lambda t, x, u: t.copy())):
+        yield (problem(lambda x: x[:, 0], reaction),
+               problem(lambda x: x[:, 0].copy(), twin))
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_callables_returning_views_see_no_reused_memory(monkeypatch,
+                                                        orientation):
+    # the store reuses its buffer as soon as a tile is done, so a value that
+    # still shares it must be copied first
+    params = params_for(3, 3, r=3.0, seed=8)
+    x = np.array([0.3, -0.2])
+    for viewing, copying in _aliasing_problems(orientation):
+        for tile in (estimator._TILE, 7):
+            with monkeypatch.context() as patch:
+                patch.setattr(estimator, "_TILE", tile)
+                # 2 lanes per chunk, so 3 chunks of the 5 repetitions
+                patch.setattr(estimator, "_CHUNK_BUDGET", 2 * 3**3 * 2)
+                for workers in (1, 2):
+                    got, want = (
+                        [(r.value, r.tally) for r in estimate_batch(
+                            prob, params, 0.2, x, 5, worker_count=workers)]
+                        for prob in (viewing, copying))
+                    assert got == want, (tile, workers)
+
+
 def test_correction_nodes_share_time_and_point():
     prob = forward_problem(d=2)
     probe = EstimatorProbe(record_paths=True)

@@ -131,6 +131,36 @@ def test_cosine_and_bump_respect_kappa():
     assert float(np.asarray(bump.eval(np.zeros((1, d))))[0]) == 2.0
 
 
+def test_builtins_equal_their_textbook_forms_bit_for_bit():
+    # each builtin evaluates in place in one new array; on arrays and on
+    # scalars it must give the plain expression's bits and leave its input
+    # as it was
+    d, kappa = 3, 1.7
+    rng = np.random.default_rng(5)
+    textbook = {
+        "cosine_mean": lambda x: kappa * np.cos(x.mean(axis=-1)),
+        "gaussian_bump": lambda x: kappa * np.exp(-(x * x).sum(axis=-1) / d),
+    }
+    for x in (rng.normal(size=(257, d)) * 4.0, rng.normal(size=d)):
+        before = x.copy()
+        for name, plain in textbook.items():
+            got = builtin_data(name, d, kappa=kappa).eval(x)
+            want = plain(x)
+            assert np.shape(got) == np.shape(want), name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+            assert x.tobytes() == before.tobytes(), name
+    f = builtin_allen_cahn().eval
+    u = np.concatenate([rng.normal(size=300) * 3.0, [0.0, -0.0, 1.0, -1e100]])
+    before = u.copy()
+    got = f(0.0, 0.0, u)
+    assert got.tobytes() == (u - u * u * u).tobytes()
+    assert u.tobytes() == before.tobytes()
+    for v in (1.3, -0.25, 0.0, np.float64(2.5), np.array(-1.5)):
+        got = f(0.0, 0.0, v)
+        assert np.shape(got) == ()
+        assert np.float64(got).tobytes() == np.float64(v - v * v * v).tobytes()
+
+
 def test_default_schedule_values():
     sched = default_schedule()
     assert math.isclose(sched.radius_at(2), math.log(1.0 + math.log(2.0)))

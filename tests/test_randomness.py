@@ -273,3 +273,31 @@ def test_verify_golden_flags_tampering():
     tampered = lines[:-1] + [lines[-1][:-1] + ("0" if lines[-1][-1] != "0" else "1")]
     assert verify_golden(tampered) != []
     assert verify_golden(["# only a comment"]) != []
+
+
+def test_blocked_words_and_digests_match_scalar_recipe_and_fill_out():
+    # absorb_vec and raw_vec mix in _BLOCK-sized blocks: across block edges
+    # they must give the scalar recipe's words, and every kernel given out=
+    # must write the same bits into the caller's array and return it
+    seed, n = 6, 3 * _BLOCK + 7
+    root = np.uint64(path_digest(seed, ()))
+    elems = np.arange(n, dtype=np.int64) - n // 2
+    counters = np.arange(n, dtype=np.uint64)
+    lanes = absorb_vec(root, 1, elems)
+    words = raw_vec(root, counters)
+    edges = [e * _BLOCK + off for e in range(1, 4) for off in (-1, 0)]
+    sample = np.random.default_rng(1).integers(0, n, 100)
+    for i in [0, n - 1, *edges, *sample.tolist()]:
+        assert int(lanes[i]) == path_digest(seed, (int(elems[i]),)), i
+        assert int(words[i]) == raw_word(StreamKey(seed, NodeId(()), i)), i
+    for kernel, args in ((absorb_vec, (lanes[:, None], 2, elems[:3])),
+                         (raw_vec, (root, counters)),
+                         (uniforms_vec, (lanes[:, None], np.arange(2))),
+                         (gaussians_vec, (lanes[:5, None], counters))):
+        want = kernel(*args)
+        out = np.empty_like(want)
+        got = kernel(*args, out=out)
+        assert got.shape == out.shape and np.shares_memory(got, out)
+        assert got.tobytes() == want.tobytes(), kernel.__name__
+    with pytest.raises(ValueError, match="C-contiguous"):
+        raw_vec(root, counters[:4], out=np.empty(8, dtype=np.uint64)[::2])
