@@ -16,12 +16,10 @@ from mlpicard.bounds import (
     surrogate_constants,
 )
 from mlpicard.experiments import SweepRow, epsilon_sweep, write_rows
-from mlpicard.problem import default_schedule
 
 
 def main():
     consts = surrogate_constants()
-    schedule = default_schedule()
 
     print("diagonal error envelope under the surrogate constants:")
     for m in (1, 2, 3, 4, 6, 8, 12, 16):
@@ -30,11 +28,11 @@ def main():
     eps_grid = [2.0 ** -k for k in range(1, 7)]
     print(f"\n{'eps':>10} {'N(eps)':>7} {'cost at d=10':>13}")
     for eps in eps_grid:
-        n = select_levels(eps, consts, schedule)
+        n = select_levels(eps, consts)
         print(f"{eps:>10.6f} {n:>7} {cumulative_cost(10, n):>13}")
 
     delta = 1.0
-    sweep = epsilon_sweep(consts, schedule, delta=delta,
+    sweep = epsilon_sweep(consts, delta=delta,
                           epsilon_list=eps_grid, d_list=[1, 10, 100])
     print(f"\nscaled cost = cumulative * eps^(2+{delta})/d:")
     print(f"{'eps':>10} {'d':>4} {'levels':>7} {'cumulative':>12} {'scaled':>12}")

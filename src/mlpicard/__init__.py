@@ -14,9 +14,11 @@ grows polynomially in d and in 1/accuracy.  The package provides:
     (problem, parameters, seed), with an exact tally of every random draw
     and function evaluation.
   * `problem`: problem definitions, built-in nonlinearities and data
-    (addressable by name), and truncation schedules.
-  * `bounds`: the L2 error bound, minimal truncation radius, cost model
-    and closed-form cost bound, and accuracy-driven level selection.
+    (addressable by name), and the truncated reaction.
+  * `bounds`: the L2 error bound, cost model and closed-form cost bound,
+    accuracy-driven level selection, and rho_min, the solution's a-priori
+    bound: the one truncation radius that estimation and level selection
+    use.
   * `oracles`: independent low-dimensional references (ODE reduction,
     1-D finite differences), a Feynman-Kac fixed-point residual check
     and the maximum-principle check.
@@ -81,11 +83,8 @@ from .problem import (
     Nonlinearity,
     Orientation,
     PdeProblem,
-    TruncationSchedule,
     builtin_data,
     builtin_nonlinearity,
-    constant_schedule,
-    default_schedule,
     eval_truncated_f,
     make_problem,
     truncate_value,
@@ -117,17 +116,14 @@ __all__ = [
     "ScalingResult",
     "StreamKey",
     "SweepResult",
-    "TruncationSchedule",
     "allen_cahn_constant_solution",
     "allen_cahn_reference",
     "apriori_sup_bound",
     "builtin_data",
     "builtin_nonlinearity",
-    "constant_schedule",
     "cost_bound",
     "cost_recursion",
     "cumulative_cost",
-    "default_schedule",
     "dimension_scaling",
     "epsilon_sweep",
     "error_bound",

@@ -11,7 +11,10 @@ Everything here is closed-form arithmetic on declared constants:
                  + sum_{l=1..n-1} M^{n-l} (d + 1 + C(d,l,M) + C(d,l-1,M)),
     an equality-defined model of draws per realization, bounded by d (5M)^n;
   * the level-selection rule  N(eps) = least n with sup_{m >= n} bound(m,m,
-    rho_m) <= eps, realized as a capped scan with a decreasing-tail check.
+    rho_min) <= eps, realized as a capped scan with a decreasing-tail check.
+
+rho_min is the package's one truncation-radius rule: estimation defaults
+to it and level selection evaluates the bound at it.
 
 Cost values are exact Python integers (arbitrary precision, so overflow
 cannot occur silently or otherwise); an a-priori bound that overflows a
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .problem import PdeProblem, TruncationSchedule
+from .problem import PdeProblem
 
 
 class CapExceededError(RuntimeError):
@@ -154,14 +157,9 @@ def cost_bound(d: int, n: int, M: int) -> int:
     return d * (5 * M) ** n
 
 
-def select_levels(
-    epsilon: float,
-    consts: BoundConstants,
-    schedule: TruncationSchedule,
-    n_max: int = 64,
-) -> int:
-    """Least n with error_bound(m, m, radius_at(m)) <= epsilon for all
-    m in [n, n_max].
+def select_levels(epsilon: float, consts: BoundConstants, n_max: int = 64) -> int:
+    """Least n with error_bound(m, m, r) <= epsilon for all m in [n, n_max],
+    at r the a-priori bound of ``consts`` (rho_min of their problem).
 
     The true rule takes a supremum over all m >= n; the scan caps it at
     n_max and additionally requires the bound sequence to be nonincreasing
@@ -173,10 +171,8 @@ def select_levels(
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
-    bounds = [
-        error_bound(consts, m, m, schedule.radius_at(m))
-        for m in range(1, n_max + 1)
-    ]
+    r = apriori_sup_bound(consts.coercivity_c, consts.kappa, consts.horizon)
+    bounds = [error_bound(consts, m, m, r) for m in range(1, n_max + 1)]
     # suffix_sup[i] = max over bounds[i:]
     suffix_sup = list(bounds)
     for i in range(n_max - 2, -1, -1):

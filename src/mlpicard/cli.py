@@ -36,7 +36,7 @@ import numpy as np
 
 from . import bounds, experiments, oracles, problem as problem_mod
 from .estimator import MlpParams, estimate_batch
-from .problem import Orientation, PdeProblem, TruncationSchedule
+from .problem import Orientation, PdeProblem
 from .randomness import NodeId, StreamKey, uniform01, uniforms_vec, verify_golden
 
 
@@ -92,8 +92,8 @@ class ConfigKey:
     ``default`` is the text the grammar shows; empty means unset (None),
     otherwise the default value is ``parse`` applied to it.  ``parse`` is a
     parser taking (raw, key) or a tuple of allowed words, which then also
-    open the help comment.  A newline in ``comment`` continues it on a line
-    of its own.  The RunConfig field is ``attr``, or ``key`` when unset.
+    open the help comment.  The RunConfig field is ``attr``, or ``key`` when
+    unset.
     """
 
     section: str
@@ -123,7 +123,6 @@ class ConfigKey:
             comment = " ".join(filter(None, (" | ".join(self.parse), comment)))
         if not comment:
             return f"{self.key:<13}= {self.default}"
-        comment = comment.replace("\n", "\n" + " " * 28 + "# ")
         return f"{self.key:<13}= {self.default:<13}# {comment}"
 
 
@@ -149,10 +148,7 @@ CONFIG_KEYS = (
     ConfigKey("estimator", "branching", "diagonal", _parse_word,
               "diagonal (M = n) | integer >= 1"),
     ConfigKey("estimator", "radius", "", _parse_float,
-              "truncation radius override; default below"),
-    ConfigKey("estimator", "schedule", "default", _parse_word,
-              "default | constant:<r>; radius defaults to\n"
-              "max(schedule(n), rho_min(problem))"),
+              "estimate and converge; default rho_min(problem)"),
     ConfigKey("estimator", "repetitions", "1", _parse_int, "K >= 1"),
     ConfigKey("estimator", "seed", "0", _parse_int),
     ConfigKey("evaluation", "t", "", _parse_float, "default: horizon"),
@@ -276,19 +272,6 @@ def build_problem(config: RunConfig) -> PdeProblem:
     )
 
 
-def build_schedule(config: RunConfig) -> TruncationSchedule:
-    name = config.schedule
-    if name == "default":
-        return problem_mod.default_schedule()
-    if name.startswith("constant:"):
-        return problem_mod.constant_schedule(
-            _parse_float(name.split(":", 1)[1], "[estimator] schedule")
-        )
-    raise ConfigError(
-        f"unknown schedule {name!r}; known: default, constant:<r>"
-    )
-
-
 def resolve_branching(config: RunConfig, levels: int) -> int:
     if config.branching == "diagonal":
         return max(levels, 1)
@@ -343,9 +326,7 @@ def _require_constant_datum(config: RunConfig, prob: PdeProblem) -> float:
 def cmd_estimate(config: RunConfig, out: Optional[str], threads: int) -> int:
     prob = build_problem(config)
     M = resolve_branching(config, config.levels)
-    r = config.radius
-    if r is None:
-        r = experiments.default_radius(prob, build_schedule(config), M)
+    r = bounds.rho_min(prob) if config.radius is None else config.radius
     params = MlpParams(levels=config.levels, branching=M,
                        truncation_radius=r, seed=config.seed)
     t, x = resolve_point(config, prob)
@@ -385,8 +366,7 @@ def cmd_converge(config: RunConfig, out: Optional[str], threads: int) -> int:
     n_list = config.n_list if config.n_list is not None else (0, 1, 2, 3, 4)
     K = max(config.repetitions, 2)
     rows = experiments.rmse_vs_oracle(
-        prob, oracle_value, t, x, n_list,
-        schedule=build_schedule(config), K=K, seed=config.seed,
+        prob, oracle_value, t, x, n_list, K=K, seed=config.seed,
         worker_count=threads, radius_override=config.radius,
     )
     path = out or "convergence.csv"
@@ -418,8 +398,7 @@ def cmd_sweep(config: RunConfig, out: Optional[str], threads: int) -> int:
         consts = bounds.BoundConstants.from_problem(build_problem(config))
     try:
         result = experiments.epsilon_sweep(
-            consts, build_schedule(config), config.delta,
-            config.epsilon_list, config.d_list,
+            consts, config.delta, config.epsilon_list, config.d_list,
             k_offset=config.k_offset, n_max=config.n_max,
         )
     except bounds.CapExceededError as exc:
@@ -428,7 +407,7 @@ def cmd_sweep(config: RunConfig, out: Optional[str], threads: int) -> int:
         # the default problem's bound (T = 0.5) still rises at n_max = 64
         raise bounds.CapExceededError(
             f"{exc}; set [experiment] constants = surrogate, or use a shorter "
-            "[problem] horizon (T = 0.05 selects 13-19 levels)",
+            "[problem] horizon (T = 0.05 selects 37-43 levels)",
             exc.epsilon, exc.n_max, exc.smallest_bound) from exc
     path = out or "sweep.csv"
     experiments.write_rows(path, experiments.SweepRow, result.rows)
@@ -528,8 +507,7 @@ def cmd_selftest(config: RunConfig, out: Optional[str], threads: int) -> int:
     checks.append(("cost examples", bounds.cost_recursion(1, 1, 2) == 6
                    and bounds.cost_recursion(1, 2, 2) == 28, "6, 28"))
 
-    levels = bounds.select_levels(0.5, bounds.surrogate_constants(),
-                                  problem_mod.default_schedule())
+    levels = bounds.select_levels(0.5, bounds.surrogate_constants())
     checks.append(("level selection surrogate", levels == 4, f"N(0.5)={levels}"))
 
     failed = [name for name, ok, _ in checks if not ok]

@@ -33,7 +33,7 @@ from .bounds import (
     select_levels,
 )
 from .estimator import MlpParams, estimate_batch
-from .problem import PdeProblem, TruncationSchedule, default_schedule
+from .problem import PdeProblem
 
 
 class RunningStats:
@@ -82,13 +82,6 @@ class RunningStats:
         return self.m2 / (self.count - 1)
 
 
-def default_radius(problem: PdeProblem, schedule: TruncationSchedule,
-                   M: int) -> float:
-    """max(schedule.radius_at(M), rho_min(problem)): the truncation never
-    bites on the exact solution."""
-    return max(schedule.radius_at(M), rho_min(problem))
-
-
 def _run_checked(problem, n, r, t, x, K, seed, worker_count):
     # K diagonal (M = n) realizations, timed; measured draws <=
     # cost_recursion <= cost_bound is re-verified before any row is built
@@ -130,7 +123,6 @@ def rmse_vs_oracle(
     t: float,
     x,
     n_list: Sequence[int],
-    schedule: Optional[TruncationSchedule] = None,
     K: int = 1000,
     seed: int = 0,
     worker_count: int = 1,
@@ -138,19 +130,16 @@ def rmse_vs_oracle(
 ) -> list[ConvergenceRow]:
     """Diagonal (M = n) RMSE table against a fixed oracle value.
 
-    The radius is ``radius_override`` or else ``default_radius``.  Every row
-    re-verifies measured draws <= cost_recursion <= cost_bound.
+    The radius is ``radius_override`` or else ``rho_min(problem)``.  Every
+    row re-verifies measured draws <= cost_recursion <= cost_bound.
     """
     if K < 2:
         raise ValueError(f"K must be >= 2 for a standard error, got {K}")
-    if schedule is None:
-        schedule = default_schedule()
     consts = BoundConstants.from_problem(problem)
+    r = rho_min(problem) if radius_override is None else radius_override
     rows = []
     for n in n_list:
         M = max(n, 1)
-        r = (default_radius(problem, schedule, M) if radius_override is None
-             else radius_override)
         results, wall, model = _run_checked(problem, n, r, t, x, K, seed,
                                             worker_count)
         values = np.array([res.value for res in results])
@@ -208,12 +197,11 @@ def dimension_scaling(
         raise ValueError("d_list needs at least two dimensions")
     if any(d < 1 for d in d_list):
         raise ValueError(f"dimensions must be >= 1, got {list(d_list)}")
-    schedule = default_schedule()
     rows = []
     for d in d_list:
         problem = problem_template(d)
         results, wall, model = _run_checked(
-            problem, n, default_radius(problem, schedule, max(n, 1)),
+            problem, n, rho_min(problem),
             problem.horizon if t is None else t, np.zeros(d), K, seed,
             worker_count,
         )
@@ -269,7 +257,6 @@ class SweepResult:
 
 def epsilon_sweep(
     consts: BoundConstants,
-    schedule: TruncationSchedule,
     delta: float,
     epsilon_list: Sequence[float],
     d_list: Sequence[int],
@@ -286,7 +273,7 @@ def epsilon_sweep(
         raise ValueError(f"delta must be > 0, got {delta}")
     rows = []
     for eps in epsilon_list:
-        levels = select_levels(eps, consts, schedule, n_max=n_max)
+        levels = select_levels(eps, consts, n_max=n_max)
         for d in d_list:
             total = cumulative_cost(d, levels, k_offset)
             scaled = total * eps ** (2.0 + delta) / d

@@ -12,7 +12,9 @@ The estimator never sees f directly; it sees the truncated reaction
     f_r(t, x, u) = f(t, x, min{r, max{-r, u}})
 
 which is globally Lipschitz with constant ``lipschitz_local(r)`` whenever f
-is locally Lipschitz.  Truncation radii come from a per-level schedule.
+is locally Lipschitz.  The one radius rule is ``bounds.rho_min``: the
+solution's a-priori bound, the smallest r for which the error bound is a
+theorem.
 
 Reaction and data callables must accept numpy arrays and broadcast: ``eval``
 is called with t of shape (B,), x of shape (B, d), u of shape (B,) and must
@@ -91,21 +93,6 @@ class PdeProblem:
             raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
 
 
-@dataclass(frozen=True)
-class TruncationSchedule:
-    """Level-indexed truncation radii: radius_at(n) = raw(n)."""
-
-    raw: Callable[[int], float]
-
-    def radius_at(self, n: int) -> float:
-        if n < 1:
-            raise ValueError(f"schedule level must be >= 1, got {n}")
-        r = float(self.raw(n))
-        if not r > 0.0:
-            raise ValueError(f"schedule produced nonpositive radius {r} at level {n}")
-        return r
-
-
 def truncate_value(u, r: float):
     """Clamp to [-r, r]: min{r, max{-r, u}}.  Total, idempotent, nonexpansive."""
     if not r > 0.0:
@@ -116,21 +103,6 @@ def truncate_value(u, r: float):
 def eval_truncated_f(nl: Nonlinearity, t, x, u, r: float):
     """The truncated reaction f_r(t,x,u) = f(t, x, clamp(u, r))."""
     return nl.eval(t, x, truncate_value(u, r))
-
-
-def default_schedule() -> TruncationSchedule:
-    """radius_at(n) = ln(1 + ln(max(n, 2))).
-
-    The argument clamps at 2 so level 1 gets a positive radius; the level-1
-    scheme applies no truncated f anyway (its correction sum is empty).
-    """
-    return TruncationSchedule(raw=lambda n: math.log(1.0 + math.log(max(n, 2))))
-
-
-def constant_schedule(r: float) -> TruncationSchedule:
-    if not r > 0.0:
-        raise ValueError(f"constant schedule needs r > 0, got {r}")
-    return TruncationSchedule(raw=lambda n: r)
 
 
 # built-in nonlinearities, addressable by name from config files

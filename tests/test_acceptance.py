@@ -42,7 +42,6 @@ from mlpicard.problem import (
     builtin_cosine_mean_data,
     builtin_linear,
     builtin_sine,
-    default_schedule,
     make_problem,
     truncate_value,
 )
@@ -282,11 +281,10 @@ def test_criterion_4_level_selection_monotone_and_sweep_finite():
     # starts decaying near level L^2 and select_levels rightly refuses the
     # capped scan (covered by the CapExceededError tests).
     eps_grid = sorted(2.0 ** -k for k in range(1, 7))
-    levels = [select_levels(e, surrogate_constants(), default_schedule())
-              for e in eps_grid]
+    levels = [select_levels(e, surrogate_constants()) for e in eps_grid]
     monotone = levels == sorted(levels, reverse=True)
-    n_tiny = select_levels(1e-6, surrogate_constants(), default_schedule())
-    sweep = epsilon_sweep(surrogate_constants(), default_schedule(), delta=1.0,
+    n_tiny = select_levels(1e-6, surrogate_constants())
+    sweep = epsilon_sweep(surrogate_constants(), delta=1.0,
                           epsilon_list=eps_grid, d_list=[1, 10, 100])
     finite = (math.isfinite(sweep.scaled_max) and math.isfinite(sweep.scaled_min)
               and sweep.scaled_min > 0.0)
@@ -406,6 +404,28 @@ def test_criterion_8_truncation_inactive_above_solution_bound():
     _report(8, "wide radii identical when clamp certified inactive", ok,
             f"max intermediate {peak:.3f}, outputs equal="
             f"{values[1e6] == values[1e9]}, clamp properties={clamp_ok}")
+
+
+def test_criterion_8_truncation_caps_every_realization_at_rho_min():
+    # Where truncation bites.  U_0 = 0 and f(0) = 0, so the level-n estimator
+    # is the datum plus n - 1 pairs of correction averages, each over a time
+    # span <= T, and |f_r| <= max_{|v| <= r} |v - v^3| = r^3 - r for
+    # r >= 2/sqrt(3).  Every truncated realization therefore satisfies
+    # |U| <= kappa + 2 (n - 1) T (r^3 - r).  At r = 1e150 the clamp never
+    # acts, and the same seed overshoots that cap.
+    prob = make_problem(dimension=1, horizon=1.0)
+    r, n, K = rho_min(prob), 4, 100
+    cap = 2.0 + 2 * (n - 1) * 1.0 * (r**3 - r)
+    peak = {}
+    for radius in (r, 1e150):
+        params = MlpParams(levels=n, branching=n, truncation_radius=radius,
+                           seed=0)
+        results = estimate_batch(prob, params, 1.0, np.zeros(1), K)
+        peak[radius] = max(abs(res.value) for res in results)
+    ok = r >= 2.0 / math.sqrt(3.0) and peak[r] <= cap < peak[1e150]
+    _report(8, "truncation at rho_min caps every realization", ok,
+            f"rho_min={r:.3f}, cap={cap:.1f}, max|U| truncated "
+            f"{peak[r]:.1f}, untruncated {peak[1e150]:.1f}")
 
 
 # 9. forward/backward transform -----------------------------------------------------

@@ -1,5 +1,6 @@
 """Error bound, cost model, closed-form cost bound, level selection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from mlpicard.bounds import (
     select_levels,
     surrogate_constants,
 )
-from mlpicard.problem import constant_schedule, default_schedule, make_problem
+from mlpicard.problem import make_problem
 
 
 def test_apriori_sup_bound_values():
@@ -130,13 +131,12 @@ def test_partial_sum_bound(alpha):
 
 def test_select_levels_surrogate_scan():
     consts = surrogate_constants()
-    schedule = default_schedule()
-    assert select_levels(1e-6, consts, schedule) == 16
+    assert select_levels(1e-6, consts) == 16
     # diagonal bound e^{m/2} m^{-m/2}: 1.649, 1.359, 0.862, ... so the
     # first level whose tail stays below 1.0 is 3
-    assert select_levels(1.0, consts, schedule) == 3
+    assert select_levels(1.0, consts) == 3
     grid = [2.0**-k for k in range(1, 7)]
-    levels = [select_levels(eps, consts, schedule) for eps in grid]
+    levels = [select_levels(eps, consts) for eps in grid]
     assert levels == sorted(levels)  # nonincreasing in eps = nondecreasing here
     assert levels[0] == 4
 
@@ -144,26 +144,25 @@ def test_select_levels_surrogate_scan():
 def test_select_levels_returns_one_when_bound_tiny_everywhere():
     tiny = BoundConstants(kappa=1e-9, f0_abs=0.0, horizon=1.0,
                           coercivity_c=0.0, lipschitz_local=lambda r: 0.0)
-    assert select_levels(1.0, tiny, default_schedule()) == 1
+    assert select_levels(1.0, tiny) == 1
     zero = BoundConstants(kappa=0.0, f0_abs=0.0, horizon=1.0,
                           coercivity_c=0.0, lipschitz_local=lambda r: 0.0)
-    assert select_levels(0.5, zero, default_schedule()) == 1
+    assert select_levels(0.5, zero) == 1
 
 
 @given(st.floats(min_value=1e-8, max_value=1.0))
 @settings(max_examples=60, deadline=None)
 def test_select_levels_monotone_in_epsilon(eps):
     consts = surrogate_constants()
-    schedule = default_schedule()
-    n_lo = select_levels(eps, consts, schedule)
-    n_hi = select_levels(min(1.0, eps * 2.0), consts, schedule)
+    n_lo = select_levels(eps, consts)
+    n_hi = select_levels(min(1.0, eps * 2.0), consts)
     assert n_lo >= n_hi
 
 
 def test_select_levels_cap_error_carries_diagnostics():
     consts = surrogate_constants()
     with pytest.raises(CapExceededError) as err:
-        select_levels(1e-6, consts, default_schedule(), n_max=10)
+        select_levels(1e-6, consts, n_max=10)
     assert err.value.epsilon == 1e-6
     assert err.value.n_max == 10
     assert err.value.smallest_bound > 1e-6
@@ -173,7 +172,7 @@ def test_select_levels_rejects_bad_epsilon():
     consts = surrogate_constants()
     for eps in (0.0, -1.0, 1.5):
         with pytest.raises(ValueError):
-            select_levels(eps, consts, default_schedule())
+            select_levels(eps, consts)
 
 
 def test_bound_constants_validation():
@@ -197,8 +196,22 @@ def test_from_problem_requires_declared_f0():
     assert consts.f0_abs == 0.25
 
 
-def test_constant_schedule_in_selection():
-    # a generous constant radius keeps L(r) fixed; selection still terminates
-    consts = surrogate_constants()
-    n = select_levels(0.01, consts, constant_schedule(5.0))
-    assert 1 <= n <= 64
+@pytest.mark.parametrize("horizon", [0.05, 0.5])
+def test_select_levels_evaluates_the_bound_at_rho_min(horizon):
+    # the error bound is a theorem only for r >= rho_min; selection must not
+    # leave that range at any level it scans
+    prob = make_problem(dimension=1, horizon=horizon)
+    consts = BoundConstants.from_problem(prob)
+    radii = []
+
+    def recording(r):
+        radii.append(r)
+        return consts.lipschitz_local(r)
+
+    recorded = dataclasses.replace(consts, lipschitz_local=recording)
+    try:
+        select_levels(0.5, recorded)
+    except CapExceededError:
+        pass  # T = 0.5: the bound still rises at the cap, after a full scan
+    assert len(radii) == 64
+    assert set(radii) == {rho_min(prob)}

@@ -62,6 +62,9 @@ def test_config_rejects_unknown_key_and_section():
         parse_config("[problem]\nwibble = 3\n")
     with pytest.raises(ConfigError):
         parse_config("[wibble]\nx = 3\n")
+    # rho_min is the one radius rule; the truncation schedule key is gone
+    with pytest.raises(ConfigError, match="unknown key 'schedule'"):
+        parse_config("[estimator]\nschedule = default\n")
     with pytest.raises(ConfigError):
         parse_config("[problem]\ndimension = banana\n")
 
@@ -83,9 +86,7 @@ kappa        =              # datum amplitude, cosine_mean/gaussian_bump only
 levels       = 1            # n >= 0
 n_list       =              # comma list, converge only (overrides levels)
 branching    = diagonal     # diagonal (M = n) | integer >= 1
-radius       =              # truncation radius override; default below
-schedule     = default      # default | constant:<r>; radius defaults to
-                            # max(schedule(n), rho_min(problem))
+radius       =              # estimate and converge; default rho_min(problem)
 repetitions  = 1            # K >= 1
 seed         = 0
 
@@ -272,8 +273,25 @@ def test_default_sweep_exits_4_and_names_the_fix(tmp_path, capsys):
     assert out == ""
     assert "bound sequence not decreasing at n_max=64" in err
     assert "set [experiment] constants = surrogate" in err
-    assert "shorter [problem] horizon (T = 0.05" in err
+    assert "shorter [problem] horizon (T = 0.05 selects 37-43 levels)" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_at_the_hinted_horizon_selects_37_to_43_levels(tmp_path, capsys):
+    # the exit-4 hint above names T = 0.05; the problem's own constants at
+    # r = rho_min select these levels over the default epsilon grid
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(
+        "[problem]\nhorizon = 0.05\n[experiment]\nconstants = problem\n",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", "--config", str(cfg),
+                     "--out", str(out_path))
+    assert code == 0
+    rows = out_path.read_text(encoding="utf-8").splitlines()
+    assert rows[0].split(",")[2] == "levels"
+    assert {int(row.split(",")[2]) for row in rows[1:]} == {37, 38, 39, 40, 42, 43}
 
 
 def test_bad_thread_count_exits_2(capsys):

@@ -19,7 +19,7 @@ from mlpicard.experiments import (
     write_rows,
 )
 from mlpicard.oracles import allen_cahn_reference
-from mlpicard.problem import default_schedule, make_problem
+from mlpicard.problem import make_problem
 
 sample_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=0,
@@ -187,7 +187,7 @@ def test_dimension_scaling_validation():
 
 def test_epsilon_sweep_shape_and_monotone_levels():
     result = epsilon_sweep(
-        surrogate_constants(), default_schedule(), delta=1.0,
+        surrogate_constants(), delta=1.0,
         epsilon_list=[2.0**-k for k in range(1, 7)], d_list=[1, 10, 100],
     )
     assert len(result.rows) == 18
@@ -208,9 +208,9 @@ def test_epsilon_sweep_shape_and_monotone_levels():
 def test_epsilon_sweep_validation_and_cap():
     consts = surrogate_constants()
     with pytest.raises(ValueError):
-        epsilon_sweep(consts, default_schedule(), 0.0, [0.5], [1])
+        epsilon_sweep(consts, 0.0, [0.5], [1])
     with pytest.raises(CapExceededError):
-        epsilon_sweep(consts, default_schedule(), 1.0, [1e-6], [1], n_max=10)
+        epsilon_sweep(consts, 1.0, [1e-6], [1], n_max=10)
 
 
 def strip_wall_column(text: str) -> list:
@@ -243,7 +243,7 @@ def test_scaling_and_sweep_csv_headers(tmp_path):
     assert lines[0] == "d,gaussians_measured,draws_measured,cost_model,wall_time_s"
     assert len(lines) == 3
 
-    sweep = epsilon_sweep(surrogate_constants(), default_schedule(), 1.0,
+    sweep = epsilon_sweep(surrogate_constants(), 1.0,
                           [0.5, 0.25], [1])
     wpath = tmp_path / "w.csv"
     write_rows(str(wpath), SweepRow, sweep.rows)
@@ -260,7 +260,7 @@ def test_sweep_csv_from_numpy_epsilons_matches_list(tmp_path):
     # numpy floats carry their type name in repr; the CSV holds digits only
     paths = []
     for epsilons in (np.array([0.5, 0.25]), [0.5, 0.25]):
-        sweep = epsilon_sweep(surrogate_constants(), default_schedule(), 1.0,
+        sweep = epsilon_sweep(surrogate_constants(), 1.0,
                               epsilons, [1, 10])
         paths.append(tmp_path / f"sweep{len(paths)}.csv")
         write_rows(str(paths[-1]), SweepRow, sweep.rows)

@@ -1,4 +1,4 @@
-"""Problem definitions, clamp semantics, schedules, metadata grid checks."""
+"""Problem definitions, clamp semantics, metadata grid checks."""
 
 import math
 from fractions import Fraction
@@ -13,14 +13,11 @@ from mlpicard.problem import (
     DataFunction,
     Orientation,
     PdeProblem,
-    TruncationSchedule,
     builtin_allen_cahn,
     builtin_data,
     builtin_linear,
     builtin_nonlinearity,
     builtin_sine,
-    constant_schedule,
-    default_schedule,
     eval_truncated_f,
     make_problem,
     truncate_value,
@@ -44,11 +41,11 @@ def test_allen_cahn_values():
 
 def test_allen_cahn_reaction_is_faithfully_rounded():
     # u - (u * u) * u rounds three times; against the exact rational u - u^3
-    # it stays within 2 ulp of max(|u|, |u|^3), on [-r, r] for the default
-    # schedule's radii at levels 2 and 64 and the default problem's rho_min
+    # it stays within 2 ulp of max(|u|, |u|^3), on [-r, r] for
+    # r = ln(1 + ln 2), ln(1 + ln 64) and the default problem's rho_min
     nl = builtin_allen_cahn()
     f = lambda u: nl.eval(np.zeros(u.size), np.zeros((u.size, 1)), u)
-    radii = (default_schedule().radius_at(2), default_schedule().radius_at(64),
+    radii = (math.log(1.0 + math.log(2.0)), math.log(1.0 + math.log(64.0)),
              rho_min(make_problem(dimension=1, horizon=0.5)))
     tiny = math.ulp(0.0)
     u = np.concatenate([np.linspace(-r, r, 2001) for r in radii]
@@ -161,25 +158,6 @@ def test_builtins_equal_their_textbook_forms_bit_for_bit():
         assert np.float64(got).tobytes() == np.float64(v - v * v * v).tobytes()
 
 
-def test_default_schedule_values():
-    sched = default_schedule()
-    assert math.isclose(sched.radius_at(2), math.log(1.0 + math.log(2.0)))
-    assert abs(sched.radius_at(2) - 0.5266) < 5e-4
-    assert sched.radius_at(1) == sched.radius_at(2)
-    assert sched.radius_at(10) > sched.radius_at(3)
-    for n in (1, 2, 5, 64):
-        assert sched.radius_at(n) > 0.0
-
-
-def test_schedule_validation():
-    sched = default_schedule()
-    with pytest.raises(ValueError):
-        sched.radius_at(0)
-    with pytest.raises(ValueError):
-        constant_schedule(0.0)
-    assert constant_schedule(2.5).radius_at(17) == 2.5
-
-
 @given(finite_floats, radii)
 @settings(max_examples=300, deadline=None)
 def test_clamp_idempotent_and_bounded(u, r):
@@ -251,19 +229,6 @@ METADATA_NONLINEARITIES = (
     ("allen_cahn", {}), ("linear", {"a": -0.5}), ("linear", {"a": 2.0}),
     ("sine", {}),
 )
-
-
-def test_diagnose_default_schedule():
-    # finite-window proxy for the schedule conditions rho_n -> infinity and
-    # L(rho_n) / ln(n) -> 0: both trends hold on [2, 64] for every builtin
-    sched = default_schedule()
-    levels = range(2, 65)
-    radii = [sched.radius_at(n) for n in levels]
-    assert all(b >= a for a, b in zip(radii, radii[1:]))
-    for name, params in METADATA_NONLINEARITIES:
-        L = builtin_nonlinearity(name, **params).lipschitz_local
-        ratios = [L(r) / math.log(n) for n, r in zip(levels, radii)]
-        assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:])), name
 
 
 def test_sampled_lipschitz_below_declared():
