@@ -25,10 +25,14 @@ r >= rho_min; it is computed regardless.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from .problem import PdeProblem
+
+# log of the largest finite float: math.exp raises beyond it
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class CapExceededError(RuntimeError):
@@ -121,7 +125,9 @@ def rho_min(problem: PdeProblem) -> float:
 def error_bound(consts: BoundConstants, n: int, M: int, r: float) -> float:
     """L2 error bound for the level-n estimator with branching M, radius r.
 
-    A theorem only when r >= rho_min; computed unconditionally.
+    A theorem only when r >= rho_min; computed unconditionally.  It never
+    raises on size: inf where the bound exceeds the largest float, 0.0
+    where it underflows or kappa + T |f(0)| is 0.
     """
     if n < 0 or M < 1:
         raise ValueError(f"need n >= 0 and M >= 1, got n={n}, M={M}")
@@ -129,8 +135,15 @@ def error_bound(consts: BoundConstants, n: int, M: int, r: float) -> float:
         raise ValueError(f"radius must be > 0, got {r}")
     L = consts.lipschitz_local(r)
     T = consts.horizon
-    prefactor = math.exp(L * T) * (consts.kappa + T * consts.f0_abs)
-    return prefactor * math.exp(M / 2.0) * (1.0 + 2.0 * L * T) ** n * M ** (-n / 2.0)
+    scale = consts.kappa + T * consts.f0_abs
+    if scale == 0.0:
+        return 0.0
+    # summed in log space: a factor alone may overflow a float while the
+    # product is finite or underflows; an exponent past the largest float
+    # gives inf
+    exponent = (L * T + M / 2.0 + math.log(scale)
+                + n * (math.log1p(2.0 * L * T) - 0.5 * math.log(M)))
+    return math.exp(exponent) if exponent < _LOG_FLOAT_MAX else math.inf
 
 
 def cost_recursion(d: int, n: int, M: int) -> int:

@@ -80,10 +80,11 @@ from .randomness import (
 # near this many elements.  Memory is bounded by _TILE, not by chunks
 _CHUNK_BUDGET = 1 << 22
 
-# float64 elements per tile (8 * randomness._BLOCK): the recursion draws and
-# evaluates its d-vectors one tile at a time, so a frame holds at most one
-# tile of points and a run peaks near (levels + 1) tiles plus the scalars
-_TILE = 1 << 18
+# float64 elements per tile (1 MB, 4 * randomness._BLOCK): the recursion
+# draws and evaluates its d-vectors one tile at a time, so a frame holds at
+# most one tile of points and a run at most levels tiles, one per frame on
+# the deepest path, plus the scalars
+_TILE = 1 << 17
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,8 @@ class OdeOracle:
     DOUBLING_TOL = 1e-10
 
     def __post_init__(self):
+        if not math.isfinite(self.u0):
+            raise ValueError(f"u0 must be finite, got {self.u0}")
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
         h = self.h if self.h else self.horizon / 1000.0

@@ -253,6 +253,50 @@ def test_overflow_exits_3(tmp_path, capsys, text):
     assert "value_mean" not in out
 
 
+def test_sweep_past_the_overflow_of_e_to_the_m_over_2_exits_0(tmp_path, capsys):
+    # e^(M/2) alone overflows a float from M = 1420, while the surrogate
+    # bound e^(M/2) M^(-M/2) underflows to 0 there; the scan reaches M = 1500
+    cfg = tmp_path / "long.ini"
+    cfg.write_text("[experiment]\nconstants = surrogate\nn_max = 1500\n",
+                   encoding="utf-8")
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--config", str(cfg),
+                       "--out", str(out_path))
+    assert code == 0, err
+    rows = out_path.read_text(encoding="utf-8").splitlines()
+    assert {int(row.split(",")[2]) for row in rows[1:]} == {4, 5, 6, 7, 8}
+
+
+@pytest.mark.parametrize("value, bound", [("1.0", "inf"), ("0.0", "0.0")])
+def test_converge_at_a_huge_radius_saturates_the_bound(tmp_path, capsys,
+                                                        value, bound):
+    # e^(L(r) T) overflows a float at r = 1e150; the bound is inf, or 0.0
+    # when kappa + T |f(0)| = 0 makes the whole product vanish
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[problem]\nvalue = {value}\n"
+                   "[estimator]\nradius = 1e150\n", encoding="utf-8")
+    out_path = tmp_path / "conv.csv"
+    code, _, err = run(capsys, "converge", "--config", str(cfg),
+                       "--out", str(out_path))
+    assert code == 0, err
+    lines = out_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].split(",")[5] == "error_bound"
+    assert [line.split(",")[5] for line in lines[1:]] == [bound] * 5
+
+
+@pytest.mark.parametrize("command", ["oracle", "converge"])
+@pytest.mark.parametrize("u0", ["nan", "inf"])
+def test_non_finite_ode_start_exits_2(tmp_path, capsys, command, u0):
+    cfg = tmp_path / "u0.ini"
+    cfg.write_text(f"[oracle]\nu0 = {u0}\n", encoding="utf-8")
+    out_path = tmp_path / "out.csv"
+    code, _, err = run(capsys, command, "--config", str(cfg),
+                       "--out", str(out_path))
+    assert code == 2
+    assert "u0 must be finite" in err
+    assert not out_path.exists()
+
+
 def test_cap_exceeded_exits_4(tmp_path, capsys):
     cfg = tmp_path / "cap.ini"
     cfg.write_text(

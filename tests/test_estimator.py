@@ -249,43 +249,63 @@ def test_tiny_tiles_change_nothing(monkeypatch, d, data_name, f_at_zero):
             assert tiny == default, (prob.orientation, n, M)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_peak_memory_is_bounded_by_tiles(n):
-    # one lane at d = 1000: the points live in at most (n + 2) tiles; what
-    # grows with M^n is only a few scalar arrays.  Unbounded, the level-0
-    # array alone is M^n * d doubles (25 MB at n = M = 5)
-    d = 1000
-    prob = make_problem(dimension=d, horizon=0.05)
-    params = params_for(n, n, r=3.0, seed=1)
+def _tile_bound(n):
+    # bytes one lane may hold at n = M levels, d = 1000: n tiles of points,
+    # one per frame on the deepest path of the recursion (as _Engine._peak
+    # plans them), and a few scalar arrays of M^n doubles
+    return n * estimator._TILE * 8 + 16 * 8 * n**n
+
+
+def _traced_peak(run):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        estimate(prob, params, 0.05, np.zeros(d))
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = (n + 2) * estimator._TILE * 8 + 16 * 8 * n**n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_peak_memory_is_bounded_by_tiles(n):
+    # one lane at d = 1000: the points live in at most n tiles; what grows
+    # with M^n is only a few scalar arrays.  Unbounded, the level-0 array
+    # alone is M^n * d doubles (25 MB at n = M = 5)
+    d = 1000
+    prob = make_problem(dimension=d, horizon=0.05)
+    params = params_for(n, n, r=3.0, seed=1)
+    peak = _traced_peak(lambda: estimate(prob, params, 0.05, np.zeros(d)))
+    bound = _tile_bound(n)
     assert peak <= bound, (n, peak, bound)
+
+
+def test_peak_memory_of_two_workers_is_twice_one_workers_bound(monkeypatch):
+    # the cli_d1000_2w shape (backward, d = 1000, n = M = 4, two chunks on
+    # two workers) at two lanes per chunk: each worker holds its own store,
+    # and together they stay within twice the one-worker bound above
+    n, d, K = 4, 1000, 4
+    monkeypatch.setattr(estimator, "_CHUNK_BUDGET", 2 * n**n * d)
+    prob = make_problem(dimension=d, horizon=0.05,
+                        orientation=Orientation.BACKWARD)
+    params = params_for(n, n, r=3.0, seed=1)
+    peak = _traced_peak(lambda: estimate_batch(
+        prob, params, 0.0, np.zeros(d), K, worker_count=2))
+    bound = 2 * _tile_bound(n)
+    assert peak <= bound, (peak, bound)
 
 
 def test_peak_memory_is_bounded_by_tiles_at_d1():
     # the table_d1 shape: K = 2 lanes at d = 1, n = M = 6.  Every level
     # folds K * M^n (lane, sample) pairs, so a tile holds at most
-    # min(_TILE, K * M^n * d) elements, and (n + 2) of them plus the
+    # min(_TILE, K * M^n * d) elements, and n of them plus the
     # scalar arrays of the d = 1000 cases, K times over, bound the run
     n, K, d = 6, 2, 1
     prob = make_problem(dimension=d, horizon=0.1,
                         data=builtin_data("cosine_mean", d, kappa=1.0))
     params = params_for(n, n, r=3.0, seed=1)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        estimate_batch(prob, params, 0.1, np.zeros(d), K)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    bound = ((n + 2) * min(estimator._TILE, K * n**n * d) * 8
-             + 16 * 8 * K * n**n)
+    peak = _traced_peak(
+        lambda: estimate_batch(prob, params, 0.1, np.zeros(d), K))
+    bound = n * min(estimator._TILE, K * n**n * d) * 8 + 16 * 8 * K * n**n
     assert peak <= bound, (peak, bound)
 
 
