@@ -62,17 +62,13 @@ class BoundConstants:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
 
     @classmethod
-    def from_problem(cls, problem: PdeProblem, f0_abs=None) -> "BoundConstants":
+    def from_problem(cls, problem: PdeProblem) -> "BoundConstants":
         nl = problem.nonlinearity
-        if f0_abs is None:
-            if nl.f_at_zero is None:
-                raise ValueError(
-                    "nonlinearity has no declared f_at_zero; pass f0_abs explicitly"
-                )
-            f0_abs = abs(nl.f_at_zero)
+        if nl.f_at_zero is None:
+            raise ValueError("nonlinearity has no declared f_at_zero")
         return cls(
             kappa=problem.data.sup_bound_kappa,
-            f0_abs=f0_abs,
+            f0_abs=abs(nl.f_at_zero),
             horizon=problem.horizon,
             coercivity_c=nl.coercivity_c,
             lipschitz_local=nl.lipschitz_local,

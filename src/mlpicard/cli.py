@@ -14,8 +14,8 @@ Exit codes (fixed contract for scripting):
         non-finite estimate or a-priori bound)
     4   level-selection cap exceeded
 
-Every subcommand honors --seed, --threads and --out; --threads (fallback:
-environment variable MLP_THREADS) affects wall time only, never values.
+Every subcommand honors --seed, --threads and --out; --threads (default 1)
+affects wall time only, never values.
 With a fixed config and seed, emitted CSVs are byte-identical across runs
 and thread counts, wall-time columns excluded.
 """
@@ -27,7 +27,6 @@ import configparser
 import dataclasses
 import importlib.resources
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -528,25 +527,6 @@ _COMMANDS = {
 }
 
 
-def _resolve_threads(arg_value: Optional[int]) -> int:
-    if arg_value is not None:
-        threads = arg_value
-    else:
-        env = os.environ.get("MLP_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"MLP_THREADS must be an integer, got {env!r}"
-                ) from None
-        else:
-            threads = 1
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlpicard",
@@ -570,8 +550,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="path to a configuration file")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override [estimator] seed")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="worker threads (fallback: MLP_THREADS, then 1)")
+        cmd.add_argument("--threads", type=int, default=1,
+                         help="worker threads (default 1)")
         cmd.add_argument("--out", default=None,
                          help="output CSV path (commands that write one)")
     return parser
@@ -590,8 +570,9 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-        threads = _resolve_threads(args.threads)
-        return _COMMANDS[args.command](config, args.out, threads)
+        if args.threads < 1:
+            raise ConfigError(f"thread count must be >= 1, got {args.threads}")
+        return _COMMANDS[args.command](config, args.out, args.threads)
     except (ConfigError, ValueError) as exc:
         print(f"mlpicard: config error: {exc}", file=sys.stderr)
         return 2

@@ -31,14 +31,15 @@ shape depends only on (n, M), so one traversal serves a whole batch, and the
 inner m-sums fold into the lane axis of the recursive calls.  Each pass
 over the (lane, m) pairs of one level draws, smears and evaluates their
 d-vectors in tiles of at most ``_TILE`` float64 elements, and only the
-scalar results are kept whole, so memory grows with the levels and not
-with M^n * d.  The smear x + sqrt(vs * elapsed) * Z takes the standard
-deviation of each (lane, m) pair, computed once per level before the
-tiles; the level-0 data samples of a lane share one elapsed time (its
-outer factor), so they take one square root per lane.  Results are a pure
-function of (seed, node path, counter): every lane and every row is
-computed on its own, so tiles, chunks and thread counts cannot change a
-value, a tally or a recorded entry.
+scalar results are kept whole: the points take memory that grows with the
+levels and not with M^n * d, the scalar arrays lanes * M^n elements each.
+The smear x + sqrt(vs * elapsed) * Z takes the standard deviation of each
+(lane, m) pair, computed once per level before the tiles; the level-0
+data samples of a lane share one elapsed time (its outer factor), so they
+take one square root per lane.  Results are a pure function of (seed,
+node path, counter): every lane and every row is computed on its own, so
+tiles, chunks and thread counts cannot change a value, a tally or a
+recorded entry.
 
 The arrays the engine allocates itself (the node digests, the uniforms,
 which become the sampled times in place, the standard deviations and each
@@ -77,7 +78,11 @@ from .randomness import (
 )
 
 # repetitions per chunk, the unit of parallel work: chunk * M^n * d stays
-# near this many elements.  Memory is bounded by _TILE, not by chunks
+# near this many elements.  _TILE bounds the d-vectors, not the scalar
+# arrays of lanes * M^n elements each frame keeps, so at small d this rule
+# bounds the memory: at d = 1, n = M = 5 a chunk of 1000 lanes plans a
+# 32 MiB store and traces a 159 MiB peak.  Past M^n = 2^22 a chunk is one
+# lane and the scalars grow with M^n
 _CHUNK_BUDGET = 1 << 22
 
 # float64 elements per tile (1 MB, 4 * randomness._BLOCK): the recursion
@@ -178,17 +183,16 @@ class _Scratch:
 
     It is one buffer of ``size`` uint64 elements, the most the run's
     planned takes hold at once (``_Engine._peak``).  ``take`` hands out
-    C-contiguous arrays from it in stack order and ``release`` pops back to
-    a ``mark``, so a later array reuses the bytes of the ones released
-    before it and the store never holds more than the run's largest live
-    set.  The plan is the contract: a take that does not fit means
+    C-contiguous arrays from it in stack order; ``mark`` is the offset in
+    use and ``release`` restores it, so a later array reuses the bytes of
+    the ones released before it and the store never holds more than the
+    run's largest live set.  The plan is the contract: a take that does not fit means
     ``_peak`` and ``_evaluate`` have drifted apart, and it raises.
     """
 
     def __init__(self, size: int):
         self._buf = np.empty(size, dtype=np.uint64)
         self._used = 0
-        self._stack = []     # _used before each live array
 
     def take(self, shape, dtype=np.uint64):
         size = math.prod(shape)
@@ -196,18 +200,15 @@ class _Scratch:
             raise AssertionError(
                 f"scratch plan of {self._buf.size} elements is short: "
                 f"{self._used} in use, {size} more taken")
-        self._stack.append(self._used)
         buf = self._buf[self._used:self._used + size]
         self._used += size
         return buf.view(dtype).reshape(shape)
 
     def mark(self) -> int:
-        return len(self._stack)
+        return self._used
 
     def release(self, mark: int):
-        if mark < len(self._stack):
-            self._used = self._stack[mark]
-            del self._stack[mark:]
+        self._used = mark
 
     def holds(self, values) -> bool:
         # whether values share the buffer, which later takes reuse
@@ -499,8 +500,6 @@ def estimate(problem: PdeProblem, params: MlpParams, t: float, x,
              probe: EstimatorProbe | None = None) -> EstimateResult:
     """One realization at (t, x), in the problem's own orientation."""
     x = _validate_point(problem, t, x)
-    if params.levels == 0:
-        return EstimateResult(0.0, CostTally())
     values, tally = _run_lanes(problem, params, t, x, params.root_node.path,
                                probe)
     return EstimateResult(float(values[0]), tally)
@@ -526,10 +525,6 @@ def estimate_batch(
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
     x = _validate_point(problem, t, x)
     n, M, d = params.levels, params.branching, problem.dimension
-    if n == 0:
-        zero = CostTally()
-        return [EstimateResult(0.0, zero) for _ in range(repetitions)]
-
     per_lane = max(1, M**n * max(d, 1))
     chunk = int(np.clip(_CHUNK_BUDGET // per_lane, 1, repetitions))
     starts = list(range(0, repetitions, chunk))

@@ -173,8 +173,6 @@ class ScalingResult:
     rows: tuple
     cost_affine_exact: bool
     gaussian_fit_r2: float
-    gaussian_slope: float
-    gaussian_intercept: float
 
 
 def dimension_scaling(
@@ -233,8 +231,6 @@ def dimension_scaling(
         rows=tuple(rows),
         cost_affine_exact=affine,
         gaussian_fit_r2=r2,
-        gaussian_slope=float(g_slope),
-        gaussian_intercept=float(g_intercept),
     )
 
 
@@ -250,7 +246,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
-    delta: float
     scaled_max: float
     scaled_min: float
 
@@ -289,7 +284,6 @@ def epsilon_sweep(
     scaled = [row.scaled_cost for row in rows]
     return SweepResult(
         rows=tuple(rows),
-        delta=delta,
         scaled_max=max(scaled),
         scaled_min=min(scaled),
     )

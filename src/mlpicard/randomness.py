@@ -266,12 +266,10 @@ def gaussian_vector(key: StreamKey, d: int) -> np.ndarray:
 # golden values: the frozen recipe, pinned as text
 
 
-def golden_lines(entries=None) -> list[str]:
+def golden_lines() -> list[str]:
     """Render '(seed, path, counter) -> raw word' lines for pinning."""
-    if entries is None:
-        entries = GOLDEN_ENTRIES
     out = []
-    for seed, path, counter in entries:
+    for seed, path, counter in GOLDEN_ENTRIES:
         w = _raw(path_digest(seed, path), counter)
         out.append(f"{seed} {NodeId(path).encode()} {counter} {w:016x}")
     return out
@@ -291,13 +289,8 @@ GOLDEN_ENTRIES = [
 ]
 
 
-def verify_golden(path_or_lines) -> list[str]:
+def verify_golden(lines) -> list[str]:
     """Recompute every golden line; return mismatch descriptions (empty = ok)."""
-    if isinstance(path_or_lines, (list, tuple)):
-        lines = list(path_or_lines)
-    else:
-        with open(path_or_lines, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
     problems = []
     seen = 0
     for line in lines:

@@ -351,7 +351,8 @@ def test_criterion_7_determinism_golden_values_and_moments():
         for w in (4, 8)
     )
     golden_path = importlib.resources.files("mlpicard") / "golden_rng.txt"
-    mismatches = verify_golden(str(golden_path))
+    mismatches = verify_golden(
+        golden_path.read_text(encoding="utf-8").splitlines())
 
     keys = absorb_vec(np.uint64(path_digest(0, ())), 1,
                       np.arange(10 ** 6, dtype=np.int64))

@@ -192,8 +192,6 @@ def test_from_problem_requires_declared_f0():
     prob = make_problem(dimension=1, horizon=0.5, nonlinearity=nl)
     with pytest.raises(ValueError):
         BoundConstants.from_problem(prob)
-    consts = BoundConstants.from_problem(prob, f0_abs=0.25)
-    assert consts.f0_abs == 0.25
 
 
 @pytest.mark.parametrize("horizon", [0.05, 0.5])

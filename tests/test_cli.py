@@ -415,26 +415,6 @@ def test_converge_byte_identical_across_threads(tmp_path, capsys):
             == strip_wall(paths[4].read_text(encoding="utf-8")))
 
 
-def test_mlp_threads_environment_fallback(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "conv.ini"
-    cfg.write_text(CONV_INI, encoding="utf-8")
-    base = tmp_path / "base.csv"
-    code, _, _ = run(capsys, "converge", "--config", str(cfg),
-                     "--out", str(base))
-    assert code == 0
-    monkeypatch.setenv("MLP_THREADS", "3")
-    env_out = tmp_path / "env.csv"
-    code, _, _ = run(capsys, "converge", "--config", str(cfg),
-                     "--out", str(env_out))
-    assert code == 0
-    assert (strip_wall(base.read_text(encoding="utf-8"))
-            == strip_wall(env_out.read_text(encoding="utf-8")))
-    monkeypatch.setenv("MLP_THREADS", "zebra")
-    code, _, err = run(capsys, "selftest")
-    assert code == 2
-    assert "MLP_THREADS" in err
-
-
 def test_seed_flag_changes_sampled_output(tmp_path, capsys):
     cfg = tmp_path / "mc.ini"
     cfg.write_text(

@@ -62,7 +62,7 @@ GAUSSIAN_MIRROR = [
 
 def test_golden_file_matches_generator():
     path = importlib.resources.files("mlpicard") / "golden_rng.txt"
-    assert verify_golden(str(path)) == []
+    assert verify_golden(path.read_text(encoding="utf-8").splitlines()) == []
 
 
 def test_golden_hardcoded_mirror():
