@@ -12,7 +12,7 @@ refining accuracy raises the exponent base, never the power of d.
 import numpy as np
 
 from mlpicard.bounds import cost_bound, cost_recursion
-from mlpicard.estimator import MlpParams, estimate
+from mlpicard.estimator import MlpParams, estimate_batch
 from mlpicard.problem import make_problem
 
 
@@ -38,7 +38,7 @@ def main():
         prob = make_problem(dimension=d, horizon=0.5)
         params = MlpParams(levels=n, branching=M, truncation_radius=5.0,
                            seed=0)
-        tally = estimate(prob, params, 0.5, np.zeros(d)).tally
+        tally = estimate_batch(prob, params, 0.5, np.zeros(d), 1)[0].tally
         model = cost_recursion(d, n, M)
         print(f"{d:>4} {tally.total_draws:>8} {model:>8} "
               f"{model - tally.total_draws:>7}")

@@ -1,21 +1,17 @@
 """Smallest possible run: one multilevel Picard estimate at a point.
 
 Allen-Cahn reaction f(u) = u - u^3 with constant datum 2 on a short
-horizon.  The estimator is a single random realization; repeating it with
-fresh repetition indices and averaging is what the batch helpers do.  The
-backward twin of the problem (terminal datum at T) is estimated at (0, 0),
-where it has the same law as the forward estimator at (T, 0).
+horizon.  One realization is repetition 0 of a batch; a batch of K
+repetitions draws K independent realizations, and their mean is the
+estimate.  The backward twin of the problem (terminal datum at T) is
+estimated at (0, 0), where it has the same law as the forward estimator
+at (T, 0).
 """
 
 import numpy as np
 
 from mlpicard.bounds import cost_recursion, rho_min
-from mlpicard.estimator import (
-    MlpParams,
-    estimate,
-    estimate_batch,
-    transform_to_backward,
-)
+from mlpicard.estimator import MlpParams, estimate_batch, transform_to_backward
 from mlpicard.oracles import allen_cahn_reference
 from mlpicard.problem import make_problem
 
@@ -30,7 +26,7 @@ def main():
           "(any r >= rho leaves the true solution unclamped)")
 
     params = MlpParams(levels=5, branching=5, truncation_radius=radius, seed=0)
-    one = estimate(prob, params, horizon, np.zeros(d))
+    one = estimate_batch(prob, params, horizon, np.zeros(d), 1)[0]
     print(f"\nsingle realization:  value = {one.value:+.6f}")
     print(f"  scalar draws = {one.tally.total_draws}, "
           f"cost model = {cost_recursion(d, 5, 5)}")
@@ -48,7 +44,7 @@ def main():
 
     twin = transform_to_backward(prob)
     small = MlpParams(levels=4, branching=4, truncation_radius=radius, seed=1)
-    one = estimate(twin, small, 0.0, np.zeros(d))
+    one = estimate_batch(twin, small, 0.0, np.zeros(d), 1)[0]
     print(f"\nbackward twin, n = M = 4, one realization at (0, 0): "
           f"{one.value:+.6f}")
     twin_reps = 100

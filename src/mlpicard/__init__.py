@@ -10,8 +10,8 @@ in arbitrary dimension d by a nested Monte Carlo recursion whose work
 grows polynomially in d and in 1/accuracy.  Each name is imported from
 its module; importing the package itself loads nothing else.
 
-  * `mlpicard.estimator`: `estimate` and `estimate_batch`, one
-    realization or K of them in the problem's own orientation,
+  * `mlpicard.estimator`: `estimate_batch`, K realizations in the
+    problem's own orientation (one is `estimate_batch(..., 1)[0]`),
     deterministic given (problem, `MlpParams`, seed), with an exact
     `CostTally` of every random draw and function evaluation;
     `transform_to_backward`.

@@ -309,14 +309,15 @@ def _scalar_ode_f(prob: PdeProblem):
     return f
 
 
-def _require_constant_datum(config: RunConfig, prob: PdeProblem) -> float:
-    if config.u0 is not None:
-        return config.u0
-    if prob.data.constant_value is None:
+def _ode_oracle(config: RunConfig, prob: PdeProblem) -> oracles.OdeOracle:
+    # the ODE reduction y' = f(y), started at [oracle] u0 or the datum
+    u0 = prob.data.constant_value if config.u0 is None else config.u0
+    if u0 is None:
         raise ConfigError(
             "this command needs a constant datum (or explicit [oracle] u0)"
         )
-    return float(prob.data.constant_value)
+    return oracles.OdeOracle(f=_scalar_ode_f(prob), u0=float(u0),
+                             horizon=prob.horizon, h=config.h or 0.0)
 
 
 # subcommands ---------------------------------------------------------------
@@ -357,10 +358,8 @@ def cmd_converge(config: RunConfig, out: Optional[str], threads: int) -> int:
     if prob.orientation is not Orientation.FORWARD:
         raise ConfigError("converge compares against the forward-run oracle; "
                           "set [problem] orientation = forward")
-    u0 = _require_constant_datum(config, prob)
+    ode = _ode_oracle(config, prob)
     t, x = resolve_point(config, prob)
-    ode = oracles.OdeOracle(f=_scalar_ode_f(prob), u0=u0,
-                            horizon=prob.horizon, h=config.h or 0.0)
     oracle_value = oracles.ode_solve(ode, t)
     n_list = config.n_list if config.n_list is not None else (0, 1, 2, 3, 4)
     K = max(config.repetitions, 2)
@@ -422,9 +421,7 @@ def cmd_oracle(config: RunConfig, out: Optional[str], threads: int) -> int:
     prob = build_problem(config)
     path = out or "oracle.csv"
     if config.oracle_kind == "ode":
-        u0 = _require_constant_datum(config, prob)
-        ode = oracles.OdeOracle(f=_scalar_ode_f(prob), u0=u0,
-                                horizon=prob.horizon, h=config.h or 0.0)
+        ode = _ode_oracle(config, prob)
         times = config.times
         if times is None:
             times = tuple(prob.horizon * k / 4.0 for k in range(5))

@@ -38,8 +38,7 @@ The smear x + sqrt(vs * elapsed) * Z takes the standard deviation of each
 data samples of a lane share one elapsed time (its outer factor), so they
 take one square root per lane.  Results are a pure function of (seed,
 node path, counter): every lane and every row is computed on its own, so
-tiles, chunks and thread counts cannot change a value, a tally or a
-recorded entry.
+tiles, chunks and thread counts cannot change a value or a tally.
 
 The arrays the engine allocates itself (the node digests, the uniforms,
 which become the sampled times in place, the standard deviations and each
@@ -55,8 +54,9 @@ A value a data or reaction callable returns is copied out when it shares
 the store (a callable may return a view of its input), so no later frame
 can overwrite it.
 
-``estimate`` gives one realization and ``estimate_batch`` K of them, both
-through the same lane entry and in the orientation the problem carries.
+``estimate_batch`` is the one entry point: it gives K realizations in the
+orientation the problem carries, repetition j rooted at node (j,), and one
+realization is ``estimate_batch(..., 1)[0]``.
 """
 
 from __future__ import annotations
@@ -69,13 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import Orientation, PdeProblem, eval_truncated_f
-from .randomness import (
-    NodeId,
-    absorb_vec,
-    gaussians_vec,
-    path_digest,
-    uniforms_vec,
-)
+from .randomness import absorb_vec, gaussians_vec, path_digest, uniforms_vec
 
 # repetitions per chunk, the unit of parallel work: chunk * M^n * d stays
 # near this many elements.  _TILE bounds the d-vectors, not the scalar
@@ -98,7 +92,6 @@ class MlpParams:
     branching: int
     truncation_radius: float
     seed: int = 0
-    root_node: NodeId = NodeId(())
 
     def __post_init__(self):
         if self.levels < 0:
@@ -129,36 +122,6 @@ class CostTally:
 class EstimateResult:
     value: float
     tally: CostTally
-
-
-class EstimatorProbe:
-    """Optional instrumentation attached to a run.
-
-    Always tracks the largest |value| handed to the truncated reaction
-    (recursive intermediates, pre-clamp).  With ``record_paths`` it also
-    logs, for root lane 0, every correction draw (node, k, (R, X)) and
-    every recursive evaluation entry (node, level, (t, x) received), so
-    tests can certify the sample-sharing and node-layout rules from
-    recorded evidence.  Recording reads the folded arrays of the same
-    recursion that produces every value, so draws, values and tallies are
-    unchanged.  Entries arrive in breadth order across the m-siblings of
-    one correction that share a tile (they share a folded call, so they
-    are logged together in m order) and depth first across tiles and k.
-    Recording keeps one tuple per node of the tree, so it is meant for
-    small audit runs only.
-    """
-
-    def __init__(self, record_paths: bool = False):
-        self.record_paths = record_paths
-        self.max_recursive_abs = 0.0
-        self.correction_samples: list = []
-        self.eval_entries: list = []
-
-    def saw_values(self, values: np.ndarray):
-        if values.size:
-            peak = float(np.max(np.abs(values)))
-            if peak > self.max_recursive_abs:
-                self.max_recursive_abs = peak
 
 
 class _MutableTally:
@@ -216,9 +179,8 @@ class _Scratch:
 
 
 class _Engine:
-    def __init__(self, problem: PdeProblem, params: MlpParams, probe=None):
+    def __init__(self, problem: PdeProblem, params: MlpParams):
         self.params = params
-        self.probe = probe
         self.forward = problem.orientation is Orientation.FORWARD
         self.d = problem.dimension
         self.horizon = problem.horizon
@@ -340,27 +302,17 @@ class _Engine:
 
     # the recursion ------------------------------------------------------
 
-    def run(self, t, x, digests, depth, tally):
-        recording = self.probe is not None and self.probe.record_paths
+    def run(self, t, x, digests, tally):
+        # digests are the lanes' root nodes, one path element deep
         self.scratch = _Scratch(self._peak(self.params.levels, t.shape[0], {}))
         try:
-            return self._evaluate(
-                self.params.levels, t, x, digests, depth, tally,
-                paths=[self.params.root_node.path] if recording else None,
-            )
+            return self._evaluate(self.params.levels, t, x, digests, 1, tally)
         finally:
             self.scratch = None
 
-    def _evaluate(self, n, t, x, digests, depth, tally, paths=None):
-        # tally counts the draws and evaluations of all B lanes.  paths
-        # (recording only) names lanes 0..len(paths)-1, the lanes that
-        # descend from root lane 0: the (B, m) -> B*m folds are row-major
+    def _evaluate(self, n, t, x, digests, depth, tally):
+        # tally counts the draws and evaluations of all B lanes
         B = t.shape[0]
-        if paths is not None:
-            self.probe.eval_entries.extend(
-                (path, n, (float(t[i]), tuple(x[i].tolist())))
-                for i, path in enumerate(paths)
-            )
         if n == 0:
             return np.zeros(B)
         M = self.params.branching
@@ -417,14 +369,8 @@ class _Engine:
                 dig_lo = self._absorb(
                     self._absorb(digests[:, None], depth + 1, -k), depth + 2, ms)
             r_times = self._sample_times(t[:, None], dig_km)
-            hi_paths = lo_paths = None
-            if paths is not None:
-                hi_paths = [p + (k, m) for p in paths for m in range(1, Mm + 1)]
-                lo_paths = [p + (-k, m) for p in paths for m in range(1, Mm + 1)]
             correct = functools.partial(
-                self._correction, k, r_times, dig_km, dig_lo, depth + 2,
-                tally, hi_paths, lo_paths,
-            )
+                self._correction, k, r_times, dig_km, dig_lo, depth + 2, tally)
             diff = self._sample(
                 x, self._scale(t[:, None], r_times), dig_km, self.slots1,
                 correct)
@@ -436,49 +382,20 @@ class _Engine:
 
         return total
 
-    def _correction(self, k, r_times, dig_km, dig_lo, depth, tally, hi_paths,
-                    lo_paths, pts, tile):
+    def _correction(self, k, r_times, dig_km, dig_lo, depth, tally, pts,
+                    tile):
         # f_r(U_k) - f_r(U_{k-1}) at one tile of the correction draws (R, X)
         r_flat = r_times[tile].reshape(-1)
-        if hi_paths is not None:
-            # the recorded lanes lead the fold; keep this tile's share
-            lanes, ms = tile
-            first = lanes.start * r_times.shape[1] + ms.start
-            hi_paths = hi_paths[first:first + len(pts)] or None
-            lo_paths = lo_paths[first:first + len(pts)] or None
-            self.probe.correction_samples.extend(
-                (path, k, (float(r_flat[i]), tuple(pts[i].tolist())))
-                for i, path in enumerate(hi_paths or ())
-            )
         sub_hi = self._evaluate(k, r_flat, pts, dig_km[tile].reshape(-1),
-                                depth, tally, hi_paths)
+                                depth, tally)
         sub_lo = self._evaluate(
             k - 1, r_flat, pts,
             None if dig_lo is None else dig_lo[tile].reshape(-1),
-            depth, tally, lo_paths,
+            depth, tally,
         )
-        if self.probe is not None:
-            self.probe.saw_values(sub_hi)
-            self.probe.saw_values(sub_lo)
         rr = self.params.truncation_radius
         return (eval_truncated_f(self.nl, r_flat, pts, sub_hi, rr)
                 - eval_truncated_f(self.nl, r_flat, pts, sub_lo, rr))
-
-
-def _run_lanes(problem, params, t, x, elems, probe=None):
-    # lane digests absorb elems after the seed; an element may be an array
-    # of per-lane indices (repetition numbers).  Returns the lane values
-    # and the tally of one lane.
-    digests = np.array([path_digest(params.seed, ())], dtype=np.uint64)
-    for depth, v in enumerate(elems, start=1):
-        digests = absorb_vec(digests, depth, v)
-    B = digests.shape[0]
-    tally = _MutableTally()
-    values = _Engine(problem, params, probe).run(
-        np.full(B, float(t)), np.broadcast_to(x, (B, problem.dimension)),
-        digests, len(elems), tally,
-    )
-    return values, tally.freeze(B)
 
 
 def _validate_point(problem, t, x):
@@ -496,15 +413,6 @@ def _validate_point(problem, t, x):
     return x
 
 
-def estimate(problem: PdeProblem, params: MlpParams, t: float, x,
-             probe: EstimatorProbe | None = None) -> EstimateResult:
-    """One realization at (t, x), in the problem's own orientation."""
-    x = _validate_point(problem, t, x)
-    values, tally = _run_lanes(problem, params, t, x, params.root_node.path,
-                               probe)
-    return EstimateResult(float(values[0]), tally)
-
-
 def estimate_batch(
     problem: PdeProblem,
     params: MlpParams,
@@ -513,7 +421,7 @@ def estimate_batch(
     repetitions: int,
     worker_count: int = 1,
 ) -> list[EstimateResult]:
-    """K independent realizations; repetition j roots at [j] + root_node.
+    """K independent realizations; repetition j roots at node (j,).
 
     Output order is repetition order and every entry is bit-identical for
     any worker_count: each repetition's draws are a pure function of its
@@ -528,10 +436,17 @@ def estimate_batch(
     per_lane = max(1, M**n * max(d, 1))
     chunk = int(np.clip(_CHUNK_BUDGET // per_lane, 1, repetitions))
     starts = list(range(0, repetitions, chunk))
+    root = np.array([path_digest(params.seed, ())], dtype=np.uint64)
 
     def run_chunk(start):
+        # the values of the chunk's lanes and the tally of one lane
         reps = np.arange(start, min(start + chunk, repetitions), dtype=np.int64)
-        return _run_lanes(problem, params, t, x, (reps, *params.root_node.path))
+        B = reps.size
+        tally = _MutableTally()
+        values = _Engine(problem, params).run(
+            np.full(B, float(t)), np.broadcast_to(x, (B, d)),
+            absorb_vec(root, 1, reps), tally)
+        return values, tally.freeze(B)
 
     if worker_count == 1 or len(starts) == 1:
         chunks = [run_chunk(s) for s in starts]

@@ -36,52 +36,6 @@ from .estimator import MlpParams, estimate_batch
 from .problem import PdeProblem
 
 
-class RunningStats:
-    """Streaming count/mean/M2 with exact-shape parallel merge.
-
-    Merging two accumulators gives the same statistics as streaming the
-    concatenated samples (up to roundoff); merge is associative to ~1e-12
-    relative, so chunked and threaded accumulation commute.
-    """
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self, count: int = 0, mean: float = 0.0, m2: float = 0.0):
-        self.count = count
-        self.mean = mean
-        self.m2 = m2
-
-    def update_many(self, values) -> None:
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.size == 0:
-            return
-        chunk = RunningStats(
-            count=int(values.size),
-            mean=float(values.mean()),
-            m2=float(((values - values.mean()) ** 2).sum()),
-        )
-        merged = self.merge(chunk)
-        self.count, self.mean, self.m2 = merged.count, merged.mean, merged.m2
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        if self.count == 0:
-            return RunningStats(other.count, other.mean, other.m2)
-        if other.count == 0:
-            return RunningStats(self.count, self.mean, self.m2)
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / n
-        m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / n
-        return RunningStats(n, mean, m2)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof = 1)."""
-        if self.count < 2:
-            return 0.0
-        return self.m2 / (self.count - 1)
-
-
 def _run_checked(problem, n, r, t, x, K, seed, worker_count):
     # K diagonal (M = n) realizations, timed; measured draws <=
     # cost_recursion <= cost_bound is re-verified before any row is built

@@ -19,13 +19,7 @@ from mlpicard.bounds import (
     select_levels,
     surrogate_constants,
 )
-from mlpicard.estimator import (
-    EstimatorProbe,
-    MlpParams,
-    estimate,
-    estimate_batch,
-    transform_to_backward,
-)
+from mlpicard.estimator import MlpParams, estimate_batch, transform_to_backward
 from mlpicard.experiments import dimension_scaling, epsilon_sweep, rmse_vs_oracle
 from mlpicard.oracles import (
     FdOracle1d,
@@ -46,7 +40,6 @@ from mlpicard.problem import (
     truncate_value,
 )
 from mlpicard.randomness import (
-    NodeId,
     absorb_vec,
     gaussians_vec,
     path_digest,
@@ -249,7 +242,7 @@ def test_criterion_2_cost_model_bound_and_measured_tallies():
                             nonlinearity=rng.choice(nonlinearities), data=data)
         t = rng.choice([0.0, horizon / 2.0, horizon])
         params = MlpParams(levels=n, branching=M, truncation_radius=5.0, seed=i)
-        result = estimate(prob, params, t, np.zeros(d))
+        result = estimate_batch(prob, params, t, np.zeros(d), 1)[0]
         if result.tally.total_draws > cost_recursion(d, n, M):
             bad.append(f"draws>model at config {i}: {(d, n, M)}")
     _report(2, "cost model bounds draws, closed form bounds model", not bad,
@@ -374,21 +367,19 @@ def test_criterion_7_determinism_golden_values_and_moments():
 # 8. truncation semantics ----------------------------------------------------------
 
 
-def test_criterion_8_truncation_inactive_above_solution_bound():
+def test_criterion_8_truncation_inactive_above_solution_bound(recursion_log):
+    # recursion_log sees every value handed to the truncated reaction
     prob = make_problem(dimension=2, horizon=0.5)
     values = {}
     peak = None
     for radius in (1e6, 1e9):
-        probe = EstimatorProbe()
-        out = []
-        for j in range(8):
-            params = MlpParams(levels=3, branching=3, truncation_radius=radius,
-                               seed=3, root_node=NodeId((j,)))
-            out.append(estimate(prob, params, 0.5, np.zeros(2),
-                                probe=probe).value)
-        values[radius] = out
+        recursion_log.clear()
+        params = MlpParams(levels=3, branching=3, truncation_radius=radius,
+                           seed=3)
+        values[radius] = [res.value for res in estimate_batch(
+            prob, params, 0.5, np.zeros(2), 8)]
         if radius == 1e6:
-            peak = probe.max_recursive_abs
+            peak = recursion_log.peak
     clamp_ok = True
     for r in (0.5, 1.0, 2.0, 5.0):
         u = np.linspace(-4.0 * r, 4.0 * r, 2001)

@@ -11,9 +11,7 @@ from mlpicard import estimator
 from mlpicard.bounds import cost_bound, cost_recursion
 from mlpicard.estimator import (
     CostTally,
-    EstimatorProbe,
     MlpParams,
-    estimate,
     estimate_batch,
     transform_to_backward,
 )
@@ -23,7 +21,6 @@ from mlpicard.problem import (
     builtin_data,
     make_problem,
 )
-from mlpicard.randomness import NodeId
 
 
 def forward_problem(d=1, horizon=0.5, data=None):
@@ -53,13 +50,13 @@ def forced_allen_cahn() -> Nonlinearity:
     )
 
 
-def params_for(n, M, r=4.0, seed=0, **kw):
-    return MlpParams(levels=n, branching=M, truncation_radius=r, seed=seed, **kw)
+def params_for(n, M, r=4.0, seed=0):
+    return MlpParams(levels=n, branching=M, truncation_radius=r, seed=seed)
 
 
 def test_zero_levels_is_zero_with_zero_tally():
     prob = forward_problem(d=3)
-    res = estimate(prob, params_for(0, 1), 0.5, np.zeros(3))
+    res = estimate_batch(prob, params_for(0, 1), 0.5, np.zeros(3), 1)[0]
     assert res.value == 0.0
     assert res.tally == CostTally()
 
@@ -67,7 +64,7 @@ def test_zero_levels_is_zero_with_zero_tally():
 def test_single_level_single_branch_returns_datum():
     for d in (1, 2, 7):
         prob = forward_problem(d=d)
-        res = estimate(prob, params_for(1, 1), 0.5, np.zeros(d))
+        res = estimate_batch(prob, params_for(1, 1), 0.5, np.zeros(d), 1)[0]
         assert res.value == 2.0  # constant datum, f(0) contribution skipped at 0
         assert res.tally.gaussian_scalars == d
         assert res.tally.uniforms == 0
@@ -81,14 +78,14 @@ def test_two_levels_constant_datum_exact_value():
     for d in (1, 4):
         for seed in (0, 99):
             prob = forward_problem(d=d)
-            res = estimate(prob, params_for(2, 2, seed=seed), 0.5,
-                           np.zeros(d))
+            res = estimate_batch(prob, params_for(2, 2, seed=seed), 0.5,
+                                 np.zeros(d), 1)[0]
             assert res.value == -1.0
 
 
 def test_forward_at_time_zero_returns_datum():
     prob = forward_problem(d=2)
-    res = estimate(prob, params_for(3, 2), 0.0, np.ones(2))
+    res = estimate_batch(prob, params_for(3, 2), 0.0, np.ones(2), 1)[0]
     assert res.value == 2.0
 
 
@@ -97,7 +94,7 @@ def test_backward_at_horizon_returns_terminal_datum():
     prob = make_problem(dimension=3, horizon=0.5,
                         orientation=Orientation.BACKWARD, data=data)
     x = np.array([0.3, -1.2, 0.5])
-    res = estimate(prob, params_for(1, 1), 0.5, x)
+    res = estimate_batch(prob, params_for(1, 1), 0.5, x, 1)[0]
     expected = float(np.asarray(data.eval(x[None, :]))[0])
     assert res.value == expected
 
@@ -106,17 +103,17 @@ def test_point_validation():
     prob = forward_problem(d=2)
     p = params_for(1, 1)
     with pytest.raises(ValueError):
-        estimate(prob, p, 0.7, np.zeros(2))  # t > T
+        estimate_batch(prob, p, 0.7, np.zeros(2), 1)  # t > T
     with pytest.raises(ValueError):
-        estimate(prob, p, -0.1, np.zeros(2))
+        estimate_batch(prob, p, -0.1, np.zeros(2), 1)
     with pytest.raises(ValueError):
-        estimate(prob, p, 0.5, np.zeros(3))  # wrong dimension
+        estimate_batch(prob, p, 0.5, np.zeros(3), 1)  # wrong dimension
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            estimate(prob, p, 0.5, np.array([0.0, bad]))
+            estimate_batch(prob, p, 0.5, np.array([0.0, bad]), 1)
         with pytest.raises(ValueError, match="finite"):
             estimate_batch(prob, p, 0.5, np.array([bad, 0.0]), 2)
-    scalar_ok = estimate(forward_problem(d=1), p, 0.5, 0.0)
+    scalar_ok = estimate_batch(forward_problem(d=1), p, 0.5, 0.0, 1)[0]
     assert scalar_ok.value == 2.0
 
 
@@ -134,7 +131,7 @@ def test_tally_matches_cost_model_without_f_at_zero():
     for d, n, M in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 3, 2), (2, 2, 2),
                     (3, 2, 3), (2, 3, 3)]:
         prob = make_problem(dimension=d, horizon=0.5, nonlinearity=nl)
-        res = estimate(prob, params_for(n, M), 0.25, np.zeros(d))
+        res = estimate_batch(prob, params_for(n, M), 0.25, np.zeros(d), 1)[0]
         model = cost_recursion(d, n, M)
         assert res.tally.total_draws == model, (d, n, M)
         assert model <= cost_bound(d, n, M)
@@ -143,7 +140,7 @@ def test_tally_matches_cost_model_without_f_at_zero():
 def test_declared_f_at_zero_strictly_saves_draws():
     d, n, M = 1, 3, 3
     skip = forward_problem(d=d)
-    res_skip = estimate(skip, params_for(n, M), 0.5, np.zeros(d))
+    res_skip = estimate_batch(skip, params_for(n, M), 0.5, np.zeros(d), 1)[0]
     model = cost_recursion(d, n, M)
     assert res_skip.tally.total_draws < model
     # the skipped draws are exactly the level-0 f-samples: 1 uniform + d
@@ -151,16 +148,16 @@ def test_declared_f_at_zero_strictly_saves_draws():
     assert res_skip.tally.uniforms < res_skip.tally.gaussian_scalars
 
 
-def test_batch_matches_prepended_singles():
+def test_repetitions_are_independent_of_the_batch_around_them(monkeypatch):
+    # repetition j is a function of its own root alone: a 4-repetition
+    # batch is the head of a 7-repetition batch run as 2-lane chunks
     prob = forward_problem(d=2)
     params = params_for(3, 2, seed=11)
-    batch = estimate_batch(prob, params, 0.5, np.zeros(2), 4)
-    for j, res in enumerate(batch):
-        single = estimate(
-            prob, dataclasses.replace(params, root_node=NodeId((j,))),
-            0.5, np.zeros(2))
-        assert res.value == single.value
-        assert res.tally == single.tally
+    short = estimate_batch(prob, params, 0.5, np.zeros(2), 4)
+    monkeypatch.setattr(estimator, "_CHUNK_BUDGET", 2 * 2**3 * 2)
+    long = estimate_batch(prob, params, 0.5, np.zeros(2), 7, worker_count=2)
+    assert [(r.value, r.tally) for r in long[:4]] == [
+        (r.value, r.tally) for r in short]
 
 
 def test_batch_bit_identical_across_worker_counts():
@@ -186,8 +183,8 @@ def test_caller_point_is_never_written(monkeypatch):
     params = params_for(3, 3, seed=2)
     x = np.array([0.25, -0.5, 1.0])
     before = x.copy()
-    estimate(fwd, params, 0.5, x)
-    estimate(bwd, params, 0.1, x)
+    estimate_batch(fwd, params, 0.5, x, 1)
+    estimate_batch(bwd, params, 0.1, x, 1)
     for prob in (fwd, bwd):
         # three 4-lane chunks over two workers
         estimate_batch(prob, params, 0.2, x, 10, worker_count=2)
@@ -214,21 +211,21 @@ def test_batch_pool_starts_no_more_workers_than_chunks(monkeypatch):
     assert [r.value for r in wide] == [r.value for r in serial]
 
 
-def _tile_run(prob, params, t, x):
-    # a single recorded run and a multi-chunk batch on 2 workers
-    probe = EstimatorProbe(record_paths=True)
-    single = estimate(prob, params, t, x, probe=probe)
+def _tile_run(log, prob, params, t, x):
+    # a multi-chunk batch on 2 workers, with every node it evaluates
+    log.clear()
     batch = estimate_batch(prob, params, t, x, 7, worker_count=2)
-    return (single.value, single.tally, probe.max_recursive_abs,
-            sorted(probe.eval_entries), sorted(probe.correction_samples),
-            [(r.value, r.tally) for r in batch])
+    return ([(r.value, r.tally) for r in batch], log.peak,
+            sorted(log.entries(params.seed, params.levels, params.branching,
+                               7)))
 
 
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("data_name", ["constant", "cosine_mean",
                                        "gaussian_bump"])
 @pytest.mark.parametrize("f_at_zero", [True, False])
-def test_tiny_tiles_change_nothing(monkeypatch, d, data_name, f_at_zero):
+def test_tiny_tiles_change_nothing(monkeypatch, recursion_log, d, data_name,
+                                   f_at_zero):
     # _TILE = 7 gives tiles of 7 rows at d = 1 (runs of whole lanes at
     # M^k <= 3, runs inside a lane above) and of 2 rows at d = 3 (runs
     # inside a lane), so lanes and rows split across tiles at every level
@@ -243,9 +240,9 @@ def test_tiny_tiles_change_nothing(monkeypatch, d, data_name, f_at_zero):
             with monkeypatch.context() as patch:
                 # 3 lanes per chunk, so 3 chunks of the 7 repetitions
                 patch.setattr(estimator, "_CHUNK_BUDGET", 3 * M**n * d)
-                default = _tile_run(prob, params, t, x)
+                default = _tile_run(recursion_log, prob, params, t, x)
                 patch.setattr(estimator, "_TILE", 7)
-                tiny = _tile_run(prob, params, t, x)
+                tiny = _tile_run(recursion_log, prob, params, t, x)
             assert tiny == default, (prob.orientation, n, M)
 
 
@@ -274,7 +271,8 @@ def test_peak_memory_is_bounded_by_tiles(n):
     d = 1000
     prob = make_problem(dimension=d, horizon=0.05)
     params = params_for(n, n, r=3.0, seed=1)
-    peak = _traced_peak(lambda: estimate(prob, params, 0.05, np.zeros(d)))
+    peak = _traced_peak(
+        lambda: estimate_batch(prob, params, 0.05, np.zeros(d), 1))
     bound = _tile_bound(n)
     assert peak <= bound, (n, peak, bound)
 
@@ -387,33 +385,58 @@ def test_callables_returning_views_see_no_reused_memory(monkeypatch,
                     assert got == want, (tile, workers)
 
 
-def test_correction_nodes_share_time_and_point():
+def test_correction_nodes_share_time_and_point(recursion_log):
+    # inside one correction the level-k evaluation at (theta, k, m) and the
+    # level-(k-1) one at (theta, -k, m) receive the same (R, X).  The k = 1
+    # lower evaluation is level 0 and carries no digest: it is the call
+    # right after its level-1 partner, which makes no call of its own
     prob = forward_problem(d=2)
-    probe = EstimatorProbe(record_paths=True)
-    estimate(prob, params_for(3, 2, seed=3), 0.5, np.zeros(2),
-             probe=probe)
-    assert probe.correction_samples
-    entries = {(path, level): point
-               for path, level, point in probe.eval_entries}
-    for path, k, rx in probe.correction_samples:
-        hi = entries[(path, k)]
-        lo_path = path[:-2] + (-k, path[-1])
-        lo = entries[(lo_path, k - 1)]
-        assert hi == rx, (path, k)
-        assert lo == rx, (path, k)
+    estimate_batch(prob, params_for(3, 2, seed=3), 0.5, np.zeros(2), 1)
+    points = {path: (t, x)
+              for path, _, t, x in recursion_log.entries(3, 3, 2, 1)}
+    pairs = 0
+    for path, point in points.items():
+        if len(path) > 1 and path[-2] > 1:
+            assert points[path[:-2] + (-path[-2], path[-1])] == point, path
+            pairs += 1
+    calls = recursion_log.calls
+    for (n, t, x, digests), (hi, t_hi, x_hi, _) in zip(calls[1:], calls):
+        if digests is None:
+            assert n == 0 and hi == 1
+            assert t.tobytes() == t_hi.tobytes()
+            assert x.tobytes() == x_hi.tobytes()
+            pairs += len(t)
+    # one pair per correction: 4 + 2 at the level-3 root, 2 under each of
+    # its two level-2 nodes
+    assert pairs == 4 + 2 + 2 * 2
 
 
-def test_recording_leaves_values_and_tallies_unchanged():
-    prob = forward_problem(d=2)
-    params = params_for(3, 2, seed=3)
-    probe = EstimatorProbe(record_paths=True)
-    recorded = estimate(prob, params, 0.5, np.zeros(2), probe=probe)
-    plain = estimate(prob, params, 0.5, np.zeros(2))
-    assert recorded.value == plain.value
-    assert recorded.tally == plain.tally
+def _node_count(n, M):
+    # nodes of one level-n tree that read their digest: the root and, for
+    # each correction (k, m), its level-k node and, for k >= 2, its twin
+    return 1 + sum(M ** (n - k) * (_node_count(k, M)
+                                   + (_node_count(k - 1, M) if k > 1 else 0))
+                   for k in range(1, n))
 
 
-def test_recorded_correction_draws_follow_their_laws():
+def test_every_absorbed_digest_names_one_node_once(monkeypatch,
+                                                   recursion_log):
+    # the digests the recursion evaluates at are exactly the layout's nodes,
+    # one call each, for every repetition of a multi-chunk batch
+    for prob, t in ((forward_problem(d=2), 0.5),
+                    (transform_to_backward(forward_problem(d=2)), 0.1)):
+        for n, M, K in ((3, 3, 2), (4, 2, 3), (1, 2, 2)):
+            recursion_log.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(estimator, "_CHUNK_BUDGET", M**n * 2)
+                estimate_batch(prob, params_for(n, M, seed=4), t, np.zeros(2),
+                               K, worker_count=2)
+            # entries() names each digest by its layout node, or raises
+            paths = [path for path, *_ in recursion_log.entries(4, n, M, K)]
+            assert len(set(paths)) == len(paths) == K * _node_count(n, M)
+
+
+def test_recorded_correction_draws_follow_their_laws(recursion_log):
     # each correction's (R, X), read against the (t, x) its parent received:
     # R normalised to its interval is U(0, 1), and the Brownian increment
     # scaled by sqrt(vs * elapsed) is N(0, I); vs = 2 forward, 1 backward
@@ -426,11 +449,14 @@ def test_recorded_correction_draws_follow_their_laws():
                             orientation=orientation)
         forward = orientation is Orientation.FORWARD
         for seed in range(300):
-            probe = EstimatorProbe(record_paths=True)
-            estimate(prob, params_for(4, 4, seed=seed), t, x0, probe=probe)
-            entries = {path: point for path, _, point in probe.eval_entries}
-            for path, _, (r, x) in probe.correction_samples:
-                t_par, x_par = entries[path[:-2]]
+            recursion_log.clear()
+            estimate_batch(prob, params_for(4, 4, seed=seed), t, x0, 1)
+            entries = recursion_log.entries(seed, 4, 4, 1)
+            points = {path: (t_, x) for path, _, t_, x in entries}
+            for path, _, r, x in entries:
+                if len(path) == 1 or path[-2] < 0:
+                    continue  # the root, and the lower twins of each pair
+                t_par, x_par = points[path[:-2]]
                 if forward:
                     us.append(r / t_par)
                     elapsed, vs = t_par - r, 2.0
@@ -446,23 +472,23 @@ def test_recorded_correction_draws_follow_their_laws():
     assert abs(zs.var() - 1.0) < 0.02
 
 
-def test_truncation_inactive_radii_are_equivalent():
+def test_truncation_inactive_radii_are_equivalent(recursion_log):
     prob = forward_problem(d=2)
-    probe = EstimatorProbe()
-    res_small = estimate(prob, params_for(3, 3, r=1e6, seed=2), 0.5,
-                         np.zeros(2), probe=probe)
-    res_large = estimate(prob, params_for(3, 3, r=1e9, seed=2), 0.5,
-                         np.zeros(2))
-    assert probe.max_recursive_abs < 1e6
+    res_small = estimate_batch(prob, params_for(3, 3, r=1e6, seed=2), 0.5,
+                               np.zeros(2), 1)[0]
+    peak = recursion_log.peak
+    res_large = estimate_batch(prob, params_for(3, 3, r=1e9, seed=2), 0.5,
+                               np.zeros(2), 1)[0]
+    assert peak < 1e6
     assert res_small.value == res_large.value
 
 
 def test_truncation_active_radius_changes_value():
     prob = forward_problem(d=2)
-    res_tight = estimate(prob, params_for(3, 3, r=0.5, seed=2), 0.5,
-                         np.zeros(2))
-    res_loose = estimate(prob, params_for(3, 3, r=1e9, seed=2), 0.5,
-                         np.zeros(2))
+    res_tight = estimate_batch(prob, params_for(3, 3, r=0.5, seed=2), 0.5,
+                               np.zeros(2), 1)[0]
+    res_loose = estimate_batch(prob, params_for(3, 3, r=1e9, seed=2), 0.5,
+                               np.zeros(2), 1)[0]
     assert res_tight.value != res_loose.value
 
 
@@ -489,7 +515,7 @@ def test_backward_twin_of_terminal_point_returns_transformed_datum():
     twin = transform_to_backward(prob)
     # backward value at t = T is the terminal datum g(x) = data(x * sqrt 2)
     x = np.array([0.7, -0.2])
-    res = estimate(twin, params_for(1, 1), prob.horizon, x)
+    res = estimate_batch(twin, params_for(1, 1), prob.horizon, x, 1)[0]
     expected = float(np.asarray(twin.data.eval(x[None, :]))[0])
     assert res.value == expected
 

@@ -1,4 +1,4 @@
-"""RunningStats, RMSE tables, scaling, sweeps, CSV reproducibility."""
+"""Running statistics, RMSE tables, scaling, sweeps, CSV reproducibility."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mlpicard.bounds import CapExceededError, rho_min, surrogate_constants
 from mlpicard.experiments import (
     ConvergenceRow,
-    RunningStats,
     ScalingRow,
     SweepRow,
     dimension_scaling,
@@ -18,7 +17,7 @@ from mlpicard.experiments import (
     rmse_vs_oracle,
     write_rows,
 )
-from mlpicard.oracles import allen_cahn_reference
+from mlpicard.oracles import RunningStats, allen_cahn_reference
 from mlpicard.problem import make_problem
 
 sample_lists = st.lists(

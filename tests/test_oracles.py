@@ -240,18 +240,37 @@ def test_fd_hardcoded_mirror(case):
     assert fd_refinement_gap(prob, oracle, t).hex() == gap
 
 
-def test_import_leaves_lapack_unloaded():
-    # only a Neumann FD solve imports scipy.linalg
+def _fresh_interpreter(code):
+    # stdout of code run in a new interpreter that imports this package
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(pathlib.Path(mlpicard.__file__).resolve().parents[1]),
         env.get("PYTHONPATH")]))
-    code = ("import sys, mlpicard, mlpicard.cli; "
-            "print('scipy.linalg' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_lapack_unloaded():
+    # only a Neumann FD solve imports scipy.linalg
+    assert _fresh_interpreter(
+        "import sys, mlpicard, mlpicard.cli; "
+        "print('scipy.linalg' in sys.modules)") == "False"
+
+
+def test_residual_oracle_loads_no_estimator_code():
+    # the residual must not share code with the estimator it checks
+    assert _fresh_interpreter(
+        "import sys\n"
+        "import numpy as np\n"
+        "from mlpicard.oracles import fixed_point_residual\n"
+        "from mlpicard.problem import make_problem\n"
+        "fixed_point_residual(lambda t, x: np.full(len(t), 2.0),\n"
+        "                     make_problem(dimension=1, horizon=0.5), 0.5,\n"
+        "                     np.zeros(1), samples=100)\n"
+        "print([m for m in ('mlpicard.estimator', 'mlpicard.experiments')\n"
+        "       if m in sys.modules])") == "[]"
 
 
 def test_fd_grid_geometry_and_interpolation():

@@ -6,12 +6,33 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _annotations(tree):
+    # parameter, return and variable annotations
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
 def used_names(text):
     # names the code reads: Name and Attribute nodes and keyword-argument
     # names, f-string expressions included.  Strings and comments are no
-    # use, and neither is a name that a def, class or parameter gives
+    # use, and neither is a name that a def, class or parameter gives, nor
+    # one that only annotates: a type no code builds or reads is dead
+    tree = ast.parse(text)
+    skipped = {id(node) for annotation in _annotations(tree)
+               for node in ast.walk(annotation)}
     names = set()
-    for node in ast.walk(ast.parse(text)):
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -57,13 +78,15 @@ def test_package_init_is_its_docstring_alone():
 
 
 def test_names_in_strings_comments_and_definitions_are_not_uses():
-    text = ("def alpha(x):\n"
+    text = ("def alpha(x: Nu) -> Xi:\n"
             "    raise ValueError('alpha needs beta')  # gamma\n"
             "class Delta(Base):\n"
-            "    def eta(self):\n"
+            "    rho: Sigma = tau\n"
+            "    def eta(self, *a: np.Pi, **k: Phi):\n"
             "        return f'{theta.iota!r} kappa' + lam(mu=1)\n")
     names = used_names(text)
-    assert {"ValueError", "Base", "theta", "iota", "lam", "mu"} <= names
-    assert not {"alpha", "x", "beta", "gamma", "Delta", "eta", "kappa"} & names
+    assert {"ValueError", "Base", "theta", "iota", "lam", "mu", "tau"} <= names
+    assert not {"alpha", "x", "beta", "gamma", "Delta", "eta", "kappa", "Nu",
+                "Xi", "Sigma", "np", "Pi", "Phi"} & names
     assert list(defined_names(text)) == [("alpha", "alpha"), ("Delta", "Delta"),
                                          ("Delta.eta", "eta")]
