@@ -19,7 +19,8 @@ its module; importing the package itself loads nothing else.
     nonlinearities and data (`builtin_nonlinearity`, `builtin_data`,
     addressable by name) and the truncated reaction `eval_truncated_f`.
   * `mlpicard.bounds`: `error_bound`, `cost_recursion`, `cost_bound`,
-    `select_levels` (accuracy-driven level selection) and `rho_min`, the
+    `select_levels` (accuracy-driven level selection, over the bounds
+    `level_bounds` computes once per sweep) and `rho_min`, the
     solution's a-priori bound: the one truncation radius that estimation
     and level selection use.
   * `mlpicard.oracles`: independent low-dimensional references

@@ -11,7 +11,8 @@ Everything here is closed-form arithmetic on declared constants:
                  + sum_{l=1..n-1} M^{n-l} (d + 1 + C(d,l,M) + C(d,l-1,M)),
     an equality-defined model of draws per realization, bounded by d (5M)^n;
   * the level-selection rule  N(eps) = least n with sup_{m >= n} bound(m,m,
-    rho_min) <= eps, realized as a capped scan with a decreasing-tail check.
+    rho_min) <= eps, realized as a capped scan with a decreasing-tail check
+    (the cap n_max at most N_MAX_LIMIT), built once per sweep.
 
 rho_min is the package's one truncation-radius rule: estimation defaults
 to it and level selection evaluates the bound at it.
@@ -24,7 +25,9 @@ r >= rho_min; it is computed regardless.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -166,6 +169,62 @@ def cost_bound(d: int, n: int, M: int) -> int:
     return d * (5 * M) ** n
 
 
+# the largest n_max level selection accepts.  The scan evaluates one bound
+# per level up to n_max (10^6 levels took 7 s and 100 MB over a six-epsilon
+# sweep), while no level past a few dozen can be run: a realization costs
+# about d (5M)^n draws
+N_MAX_LIMIT = 10_000
+
+
+@dataclass(frozen=True)
+class LevelBounds:
+    """The diagonal error bounds of levels 1..n_max at the a-priori radius,
+    computed once (``level_bounds``) and read for any epsilon."""
+
+    bounds: tuple  # error_bound(m, m, r) for m = 1..n_max
+    suffix_sup: tuple  # suffix_sup[i] = max(bounds[i:]), nonincreasing
+
+    def select(self, epsilon: float) -> int:
+        """Least n with bounds[m] <= epsilon for all m in [n, n_max]
+        (``select_levels``)."""
+        if not 0.0 < epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        bounds, n_max = self.bounds, len(self.bounds)
+        smallest = self.suffix_sup[-1]
+        if not bounds[-3] >= bounds[-2] >= bounds[-1]:
+            raise CapExceededError(
+                f"cap exceeded: bound sequence not decreasing at n_max={n_max} "
+                f"(tail {bounds[-3]:.3e}, {bounds[-2]:.3e}, {bounds[-1]:.3e}); "
+                "the capped scan cannot stand in for the tail supremum",
+                epsilon, n_max, smallest,
+            )
+        # the first suffix supremum at or below epsilon, by bisection
+        n = bisect.bisect_left(self.suffix_sup, -epsilon, key=operator.neg) + 1
+        if n > n_max:
+            raise CapExceededError(
+                f"cap exceeded: no level n <= {n_max} achieves bound <= "
+                f"{epsilon:.3e} (smallest achieved bound {smallest:.3e})",
+                epsilon, n_max, smallest,
+            )
+        return n
+
+
+def level_bounds(consts: BoundConstants, n_max: int = 64) -> LevelBounds:
+    """error_bound(m, m, r) for m = 1..n_max, at r the a-priori bound of
+    ``consts`` (rho_min of their problem), and their suffix suprema.
+    n_max must lie in [3, N_MAX_LIMIT]; it is checked before any bound is
+    computed."""
+    if not 3 <= n_max <= N_MAX_LIMIT:
+        raise ValueError(
+            f"n_max must lie in [3, {N_MAX_LIMIT}], got {n_max}")
+    r = apriori_sup_bound(consts.coercivity_c, consts.kappa, consts.horizon)
+    bounds = [error_bound(consts, m, m, r) for m in range(1, n_max + 1)]
+    suffix_sup = list(bounds)
+    for i in range(n_max - 2, -1, -1):
+        suffix_sup[i] = max(suffix_sup[i], suffix_sup[i + 1])
+    return LevelBounds(tuple(bounds), tuple(suffix_sup))
+
+
 def select_levels(epsilon: float, consts: BoundConstants, n_max: int = 64) -> int:
     """Least n with error_bound(m, m, r) <= epsilon for all m in [n, n_max],
     at r the a-priori bound of ``consts`` (rho_min of their problem).
@@ -174,38 +233,10 @@ def select_levels(epsilon: float, consts: BoundConstants, n_max: int = 64) -> in
     n_max and additionally requires the bound sequence to be nonincreasing
     on the last three levels, a finite proxy for the vanishing tail.  When
     the cap binds (no level qualifies, or the tail is not settling) a
-    CapExceededError reports the smallest achieved bound.
+    CapExceededError reports the smallest achieved bound.  A sweep over
+    several epsilon reads one ``level_bounds`` instead.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if n_max < 3:
-        raise ValueError(f"n_max must be >= 3, got {n_max}")
-    r = apriori_sup_bound(consts.coercivity_c, consts.kappa, consts.horizon)
-    bounds = [error_bound(consts, m, m, r) for m in range(1, n_max + 1)]
-    # suffix_sup[i] = max over bounds[i:]
-    suffix_sup = list(bounds)
-    for i in range(n_max - 2, -1, -1):
-        suffix_sup[i] = max(suffix_sup[i], suffix_sup[i + 1])
-    tail_decreasing = bounds[-3] >= bounds[-2] >= bounds[-1]
-    if not tail_decreasing:
-        raise CapExceededError(
-            f"cap exceeded: bound sequence not decreasing at n_max={n_max} "
-            f"(tail {bounds[-3]:.3e}, {bounds[-2]:.3e}, {bounds[-1]:.3e}); "
-            "the capped scan cannot stand in for the tail supremum",
-            epsilon,
-            n_max,
-            min(suffix_sup),
-        )
-    for n in range(1, n_max + 1):
-        if suffix_sup[n - 1] <= epsilon:
-            return n
-    raise CapExceededError(
-        f"cap exceeded: no level n <= {n_max} achieves bound <= {epsilon:.3e} "
-        f"(smallest achieved bound {min(suffix_sup):.3e})",
-        epsilon,
-        n_max,
-        min(suffix_sup),
-    )
+    return level_bounds(consts, n_max).select(epsilon)
 
 
 def cumulative_cost(d: int, N: int, K: int = 0) -> int:

@@ -29,30 +29,38 @@ strictly (the model charges those draws regardless).
 The engine is vectorized across independent repetitions ("lanes"): the tree
 shape depends only on (n, M), so one traversal serves a whole batch, and the
 inner m-sums fold into the lane axis of the recursive calls.  Each pass
-over the (lane, m) pairs of one level draws, smears and evaluates their
-d-vectors in tiles of at most ``_TILE`` float64 elements, and only the
-scalar results are kept whole: the points take memory that grows with the
-levels and not with M^n * d, the scalar arrays lanes * M^n elements each.
-The smear x + sqrt(vs * elapsed) * Z takes the standard deviation of each
-(lane, m) pair, computed once per level before the tiles; the level-0
-data samples of a lane share one elapsed time (its outer factor), so they
-take one square root per lane.  Results are a pure function of (seed,
-node path, counter): every lane and every row is computed on its own, so
-tiles, chunks and thread counts cannot change a value or a tally.
+over the (lane, m) pairs of one level runs in tiles of at most ``_TILE``
+float64 elements, d per pair.  A tile absorbs the node digests of its own
+pairs, draws their times, takes their standard deviations, draws, smears
+and evaluates their d-vectors, and reduces the results into its lanes'
+sums before the next tile starts.  So no array of lanes * M^k elements is
+formed: a frame keeps one result per lane, and a run holds at most one
+tile per frame on the deepest path, whatever K and M^n are, plus one
+lane's results in each pass whose lanes span tiles.  Such a lane is
+gathered in a one-lane buffer and reduced once it is whole, so its sum
+has the bits of one reduction over the pass; summing per-tile partials
+would round differently.  The smear x + sqrt(vs * elapsed) * Z takes the
+standard deviation of each (lane, m) pair; the level-0 data samples of a
+lane share one elapsed time (its outer factor), so they take one square
+root per lane.  Results are a pure function of (seed, node path,
+counter): every lane and every row is computed on its own, so tiles,
+chunks and thread counts cannot change a value or a tally.
 
-The arrays the engine allocates itself (the node digests, the uniforms,
-which become the sampled times in place, the standard deviations and each
-tile of points) come from one scratch store per run, that is per chunk
-and so per worker thread; nothing is shared across threads.  The store is
-one buffer, sized before the run to the most those arrays hold at once,
-handed out and taken back in stack order as the recursion enters and
-leaves a frame or a tile, and released when the run returns.  So a frame
-reuses the bytes of its predecessor instead of asking the allocator
-again, which at d = 1 used to trim and re-fault the same pages on every
-call, and the store never holds more than the run's largest live set.
-A value a data or reaction callable returns is copied out when it shares
-the store (a callable may return a view of its input), so no later frame
-can overwrite it.
+The arrays the engine allocates itself (each frame's results, the node
+digests, the uniforms, which become the sampled times in place, the
+standard deviations, each tile of points and the one-lane buffers) come
+from one scratch store per run, that is per chunk and so per worker
+thread; nothing is shared across threads.  The store is one buffer, sized
+before the run to the most those arrays hold at once, handed out and
+taken back in stack order as the recursion enters and leaves a frame, a
+pass or a tile, and released when the run returns.  A frame's results
+are its first take and stay in the store for its caller, which reads them
+and releases them with its tile.  So a frame reuses the bytes of its
+predecessor instead of asking the allocator again, which at d = 1 used to
+trim and re-fault the same pages on every call, and the store never holds
+more than the run's largest live set.  What a data or reaction callable
+returns is reduced before its tile's takes are released, so a callable
+may return a view of its input.
 
 ``estimate_batch`` is the one entry point: it gives K realizations in the
 orientation the problem carries, repetition j rooted at node (j,), and one
@@ -72,17 +80,14 @@ from .problem import Orientation, PdeProblem, eval_truncated_f
 from .randomness import absorb_vec, gaussians_vec, path_digest, uniforms_vec
 
 # repetitions per chunk, the unit of parallel work: chunk * M^n * d stays
-# near this many elements.  _TILE bounds the d-vectors, not the scalar
-# arrays of lanes * M^n elements each frame keeps, so at small d this rule
-# bounds the memory: at d = 1, n = M = 5 a chunk of 1000 lanes plans a
-# 32 MiB store and traces a 159 MiB peak.  Past M^n = 2^22 a chunk is one
-# lane and the scalars grow with M^n
+# near this many elements.  It bounds no memory: the tiles do, and a chunk's
+# lanes add only their results, one per lane
 _CHUNK_BUDGET = 1 << 22
 
 # float64 elements per tile (1 MB, 4 * randomness._BLOCK): the recursion
-# draws and evaluates its d-vectors one tile at a time, so a frame holds at
-# most one tile of points and a run at most levels tiles, one per frame on
-# the deepest path, plus the scalars
+# draws, evaluates and reduces its (lane, m) pairs one tile at a time, so a
+# frame holds at most one tile of points with their digests, times and
+# scales, and a run at most one per frame on the deepest path
 _TILE = 1 << 17
 
 
@@ -173,9 +178,10 @@ class _Scratch:
     def release(self, mark: int):
         self._used = mark
 
-    def holds(self, values) -> bool:
-        # whether values share the buffer, which later takes reuse
-        return np.may_share_memory(values, self._buf)
+
+def _samples(j):
+    # the sample indices m = j.start + 1 .. j.stop of a tile's slice j
+    return np.arange(j.start + 1, j.stop + 1, dtype=np.int64)
 
 
 class _Engine:
@@ -217,7 +223,7 @@ class _Engine:
     def _scale(self, t, r):
         # Brownian standard deviation sqrt(vs * elapsed) between the
         # evaluation time t and the sampled time r, computed in place in the
-        # elapsed array (never in t or outer, which are read again)
+        # elapsed array (never in t, which is read again)
         elapsed = self.scratch.take(r.shape, np.float64)
         if self.forward:
             np.subtract(t, r, out=elapsed)
@@ -226,19 +232,35 @@ class _Engine:
         elapsed *= self.vs
         return np.sqrt(elapsed, out=elapsed)
 
-    def _smear(self, x, scale, z):
-        # x + scale * z with x (B,d), scale (B,m) the standard deviation of
-        # each (lane, m) pair (or a broadcast view of it) and z (B,m,d);
-        # consumes z, which holds the points on return
+    def _points(self, x, scale, digests, slots):
+        # x + scale * z at the gaussians of digests (b, m), with x (b, d) and
+        # scale (b, m) the standard deviation of each (lane, m) pair, or
+        # (b, 1) one per lane: the (b * m, d) points, formed in place in z
+        z = gaussians_vec(
+            digests[:, :, None], slots,
+            out=self.scratch.take((*digests.shape, self.d), np.float64))
         z *= scale[:, :, None]
         z += x[:, None, :]
-        return z
+        return z.reshape(-1, self.d)
+
+    def _draw(self, t, x, parents, lane, j, depth):
+        # the (R, X) draws of one tile's (lane, m) pairs under the lanes'
+        # parent digests: the pairs' digests, the times R (flat) and points X
+        dig = self._absorb(parents[lane], depth, _samples(j))
+        r = self._sample_times(t[lane, None], dig)
+        pts = self._points(x[lane], self._scale(t[lane, None], r), dig,
+                           self.slots1)
+        return dig, r.reshape(-1), pts
+
+    def _rows(self):
+        # (lane, m) pairs per tile, d elements each
+        return max(1, _TILE // self.d)
 
     def _tiles(self, lanes, m):
         # (lane, m) rectangles of at most _TILE elements, d per pair: runs of
         # whole lanes while a lane fits, else runs of m inside one lane.
         # Each rectangle is a contiguous run of the row-major (lanes * m) fold
-        rows = max(1, _TILE // self.d)
+        rows = self._rows()
         if m <= rows:
             step = rows // m
             for b in range(0, lanes, step):
@@ -248,55 +270,60 @@ class _Engine:
                 for j in range(0, m, rows):
                     yield slice(b, b + 1), slice(j, min(j + rows, m))
 
-    def _sample(self, x, scale, digests, slots, evaluate):
-        # evaluate(points, tile) at the smeared gaussians of every (lane, m)
-        # pair of digests (B, m), one tile at a time; returns the (B, m)
-        # scalar results.  Rows are independent, so tiling changes no value
-        parts = [self._sample_tile(x, scale, digests, slots, evaluate, tile)
-                 for tile in self._tiles(*digests.shape)]
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return out.reshape(digests.shape)
-
-    def _sample_tile(self, x, scale, digests, slots, evaluate, tile):
+    def _pass(self, lanes, m, sample, fold):
+        # sample(lane, j) gives the results of one tile's (lane, m) pairs,
+        # which fold(lane, results (b, m)) reduces into the frame's sums
+        # before the tile's takes are released.  A lane that spans tiles is
+        # gathered in a one-lane buffer and folded once it is whole, so
+        # every lane is reduced in one call, as if the pass were one array:
+        # summing per-tile partials would round differently
         scratch = self.scratch
-        mark = scratch.mark()
-        dig = digests[tile]
-        z = gaussians_vec(dig[:, :, None], slots,
-                          out=scratch.take((*dig.shape, self.d), np.float64))
-        pts = self._smear(x[tile[0]], scale[tile], z)
-        values = evaluate(pts.reshape(-1, self.d), tile)
-        # a callable may return a view of its input; the store reuses it
-        if scratch.holds(values):
-            values = values.copy()
-        scratch.release(mark)
-        return values
+        start = scratch.mark()
+        spans = m > self._rows()
+        whole = scratch.take((1, m), np.float64) if spans else None
+        tile = scratch.mark()
+        for lane, j in self._tiles(lanes, m):
+            values = sample(lane, j)
+            if spans:
+                whole[0, j] = values
+                if j.stop == m:
+                    fold(lane, whole)
+            else:
+                fold(lane, values.reshape(-1, m))
+            scratch.release(tile)
+        scratch.release(start)
 
     def _peak(self, n, lanes, seen):
-        # elements the store holds at most while _evaluate(n) runs on
-        # lanes: its takes in their order, each tile's recursion above them.
-        # The first tile of a pass is its largest.  seen memoizes (n, lanes)
+        # elements the store holds at most while _evaluate(n) runs on lanes
+        # and its results wait for the caller: its takes in their order,
+        # each pass's first tile (its largest) and that tile's recursion
+        # above them.  seen memoizes (n, lanes)
         if n == 0:
-            return 0
+            return lanes
         if (n, lanes) in seen:
             return seen[n, lanes]
-        M, d = self.params.branching, self.d
+        M, d, rows = self.params.branching, self.d, self._rows()
 
-        def first_tile_rows(m):
-            b, j = next(self._tiles(lanes, m))
-            return (b.stop - b.start) * (j.stop - j.start)
+        def first_tile(m):
+            # the first tile's rows, after a spanning pass's one-lane buffer
+            if m > rows:
+                return m, rows
+            return 0, min(lanes, rows // m) * m
 
-        Mn = M**n
-        # dig_zero, then dig_data or (dig_f, uniforms, scale), then a tile
-        peak = lanes + (1 if self.skip_f0 else 3) * lanes * Mn \
-            + first_tile_rows(Mn) * d
+        # level 0: the results and dig_zero, then a pass's buffer and the
+        # tile's digests, points and, for the f samples, times and scales
+        whole, r = first_tile(M**n)
+        peak = 2 * lanes + whole + r * (d + (1 if self.skip_f0 else 3))
         for k in range(1, n):
-            Mm = M ** (n - k)
-            rows = first_tile_rows(Mm)
-            # two absorbs per digest array (dig_lo from k = 2), uniforms
-            # and scale, then a tile and the recursion at levels k, k - 1
-            digs = (2 if k > 1 else 1) * (lanes + lanes * Mm)
-            peak = max(peak, digs + 2 * lanes * Mm + rows * d + max(
-                self._peak(k, rows, seen), self._peak(k - 1, rows, seen)))
+            whole, r = first_tile(M ** (n - k))
+            # the lanes' digests at k (and -k from k = 2), the buffer, then
+            # the tile's times, scales, points and digests (of -k too), and
+            # the level-k and level-(k - 1) evaluations, the first's results
+            # kept
+            digs = 1 if k == 1 else 2
+            peak = max(peak, lanes * (1 + digs) + whole + r * (digs + 2 + d)
+                       + max(self._peak(k, r, seen),
+                             r + self._peak(k - 1, r, seen)))
         seen[n, lanes] = peak
         return peak
 
@@ -306,96 +333,98 @@ class _Engine:
         # digests are the lanes' root nodes, one path element deep
         self.scratch = _Scratch(self._peak(self.params.levels, t.shape[0], {}))
         try:
-            return self._evaluate(self.params.levels, t, x, digests, 1, tally)
+            return self._evaluate(
+                self.params.levels, t, x, digests, 1, tally).copy()
         finally:
             self.scratch = None
 
     def _evaluate(self, n, t, x, digests, depth, tally):
-        # tally counts the draws and evaluations of all B lanes
+        # tally counts the draws and evaluations of all B lanes.  The B
+        # results are the frame's first take; they stay in the store when
+        # it returns, for the caller to read and release with its tile
         B = t.shape[0]
+        scratch = self.scratch
+        total = scratch.take((B,), np.float64)
         if n == 0:
-            return np.zeros(B)
+            total.fill(0.0)
+            return total
         M = self.params.branching
         nl, data = self.nl, self.data
-        d = self.d
-        scratch = self.scratch
+        d, vs = self.d, self.vs
         frame = scratch.mark()
-        outer = self._outer_coef(t)
 
         # level 0: data samples at nodes (theta, 0, -m), m = 1..M^n.  Their
         # elapsed time is outer for every m, so one square root per lane
         Mn = M**n
-        ms = np.arange(1, Mn + 1, dtype=np.int64)
         dig_zero = self._absorb(digests[:, None], depth + 1, 0)
-        above_zero = scratch.mark()
-        dig_data = self._absorb(dig_zero, depth + 2, -ms)
-        vals = self._sample(
-            x, np.broadcast_to(np.sqrt(self.vs * outer)[:, None], (B, Mn)),
-            dig_data, self.gauss_slots, lambda pts, tile: data.eval(pts),
-        )
-        scratch.release(above_zero)
-        tally.gaussian_scalars += vals.size * d
-        tally.data_evals += vals.size
-        total = vals.mean(axis=1)
+
+        def data_sample(lane, j):
+            dig = self._absorb(dig_zero[lane], depth + 2, -_samples(j))
+            scale = np.sqrt(vs * self._outer_coef(t[lane]))
+            return data.eval(self._points(x[lane], scale[:, None], dig,
+                                          self.gauss_slots))
+
+        def data_fold(lane, vals):
+            total[lane] = vals.mean(axis=1)
+
+        self._pass(B, Mn, data_sample, data_fold)
+        tally.gaussian_scalars += B * Mn * d
+        tally.data_evals += B * Mn
 
         # level 0: f samples at nodes (theta, 0, m); skipped when f(.,.,0)
         # is a known constant (the term is then deterministic)
         if self.skip_f0:
-            total = total + outer * nl.f_at_zero
+            total += self._outer_coef(t) * nl.f_at_zero
         else:
-            dig_f = self._absorb(dig_zero, depth + 2, ms)
-            r_times = self._sample_times(t[:, None], dig_f)
-            fvals = self._sample(
-                x, self._scale(t[:, None], r_times), dig_f, self.slots1,
-                lambda pts, tile: nl.eval(
-                    r_times[tile].reshape(-1), pts, np.zeros(len(pts))),
-            )
-            tally.uniforms += fvals.size
-            tally.gaussian_scalars += fvals.size * d
-            tally.f_evals += fvals.size
-            total = total + outer * fvals.mean(axis=1)
+            def f_sample(lane, j):
+                _, r, pts = self._draw(t, x, dig_zero, lane, j, depth + 2)
+                return nl.eval(r, pts, np.zeros(len(pts)))
+
+            def f_fold(lane, vals):
+                total[lane] += self._outer_coef(t[lane]) * vals.mean(axis=1)
+
+            self._pass(B, Mn, f_sample, f_fold)
+            tally.uniforms += B * Mn
+            tally.gaussian_scalars += B * Mn * d
+            tally.f_evals += B * Mn
         scratch.release(frame)
 
         # corrections k = 1..n-1: (R, X) drawn once at (theta, k, m) and fed
         # to BOTH the level-k and the level-(k-1) evaluation
         for k in range(1, n):
             Mm = M ** (n - k)
-            ms = np.arange(1, Mm + 1, dtype=np.int64)
-            dig_km = self._absorb(
-                self._absorb(digests[:, None], depth + 1, k), depth + 2, ms)
+            dig_k = self._absorb(digests[:, None], depth + 1, k)
             # level 0 never reads its digests, so k == 1 skips their absorb
-            dig_lo = None
+            dig_mk = None
             if k > 1:
-                dig_lo = self._absorb(
-                    self._absorb(digests[:, None], depth + 1, -k), depth + 2, ms)
-            r_times = self._sample_times(t[:, None], dig_km)
+                dig_mk = self._absorb(digests[:, None], depth + 1, -k)
             correct = functools.partial(
-                self._correction, k, r_times, dig_km, dig_lo, depth + 2, tally)
-            diff = self._sample(
-                x, self._scale(t[:, None], r_times), dig_km, self.slots1,
-                correct)
-            tally.uniforms += diff.size
-            tally.gaussian_scalars += diff.size * d
-            tally.f_evals += 2 * diff.size
-            total = total + (outer / Mm) * diff.sum(axis=1)
+                self._correction, k, t, x, dig_k, dig_mk, depth + 2, tally)
+
+            def correction_fold(lane, diff, Mm=Mm):
+                total[lane] += (self._outer_coef(t[lane]) / Mm) * diff.sum(
+                    axis=1)
+
+            self._pass(B, Mm, correct, correction_fold)
+            tally.uniforms += B * Mm
+            tally.gaussian_scalars += B * Mm * d
+            tally.f_evals += 2 * B * Mm
             scratch.release(frame)
 
         return total
 
-    def _correction(self, k, r_times, dig_km, dig_lo, depth, tally, pts,
-                    tile):
+    def _correction(self, k, t, x, dig_k, dig_mk, depth, tally, lane, j):
         # f_r(U_k) - f_r(U_{k-1}) at one tile of the correction draws (R, X)
-        r_flat = r_times[tile].reshape(-1)
-        sub_hi = self._evaluate(k, r_flat, pts, dig_km[tile].reshape(-1),
-                                depth, tally)
-        sub_lo = self._evaluate(
-            k - 1, r_flat, pts,
-            None if dig_lo is None else dig_lo[tile].reshape(-1),
-            depth, tally,
-        )
+        # of nodes (theta, k, m) and their twins (theta, -k, m)
+        dig_hi, r, pts = self._draw(t, x, dig_k, lane, j, depth)
+        dig_lo = None
+        if dig_mk is not None:
+            dig_lo = self._absorb(dig_mk[lane], depth, _samples(j)).reshape(-1)
+        sub_hi = self._evaluate(k, r, pts, dig_hi.reshape(-1), depth, tally)
+        sub_lo = self._evaluate(k - 1, r, pts, dig_lo, depth, tally)
         rr = self.params.truncation_radius
-        return (eval_truncated_f(self.nl, r_flat, pts, sub_hi, rr)
-                - eval_truncated_f(self.nl, r_flat, pts, sub_lo, rr))
+        return (eval_truncated_f(self.nl, r, pts, sub_hi, rr)
+                - eval_truncated_f(self.nl, r, pts, sub_lo, rr))
 
 
 def _validate_point(problem, t, x):

@@ -29,8 +29,8 @@ from .bounds import (
     cost_recursion,
     cumulative_cost,
     error_bound,
+    level_bounds,
     rho_min,
-    select_levels,
 )
 from .estimator import MlpParams, estimate_batch
 from .problem import PdeProblem
@@ -221,8 +221,9 @@ def epsilon_sweep(
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     rows = []
+    table = level_bounds(consts, n_max)
     for eps in epsilon_list:
-        levels = select_levels(eps, consts, n_max=n_max)
+        levels = table.select(eps)
         for d in d_list:
             total = cumulative_cost(d, levels, k_offset)
             scaled = total * eps ** (2.0 + delta) / d

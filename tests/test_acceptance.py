@@ -166,7 +166,8 @@ def test_criterion_1_constant_datum_oracle_agreement():
             params = MlpParams(levels=n, branching=n, truncation_radius=r_half,
                                seed=0)
             samples[n, t] = np.array([res.value for res in estimate_batch(
-                prob, params, t, np.zeros(d), repetitions=K)])
+                prob, params, t, np.zeros(d), repetitions=K,
+                worker_count=2)])
         for t in (0.5, 0.25):
             u_exact = _closed_form_iterates(t)
             for n in (1, 2):
@@ -196,7 +197,8 @@ def test_criterion_1_constant_datum_oracle_agreement():
     for d in (1, 10, 100):
         prob = make_problem(dimension=d, horizon=0.1)
         rows = rmse_vs_oracle(prob, oracle, 0.1, np.zeros(d),
-                              n_list=(1, 2, 3, 4, 5), K=K, seed=0)
+                              n_list=(1, 2, 3, 4, 5), K=K, seed=0,
+                              worker_count=2)
         seq = [row.rmse for row in rows]
         for a, b in zip(seq, seq[1:]):
             if b > 1.2 * a:

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from mlpicard import bounds
 from mlpicard.cli import (
     ConfigError,
     RunConfig,
@@ -308,6 +309,24 @@ def test_cap_exceeded_exits_4(tmp_path, capsys):
                        "--out", str(tmp_path / "x.csv"))
     assert code == 4
     assert "cap" in err
+
+
+def test_sweep_past_the_n_max_limit_exits_2_before_any_bound(
+        tmp_path, capsys, monkeypatch):
+    def no_bound(*args):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(bounds, "error_bound", no_bound)
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[experiment]\nconstants = surrogate\n"
+                   f"n_max = {bounds.N_MAX_LIMIT + 1}\n", encoding="utf-8")
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "sweep", "--config", str(cfg),
+                         "--out", str(out_path))
+    assert code == 2
+    assert f"n_max must lie in [3, {bounds.N_MAX_LIMIT}]" in err
+    assert out == ""
+    assert not out_path.exists()
 
 
 def test_default_sweep_exits_4_and_names_the_fix(tmp_path, capsys):

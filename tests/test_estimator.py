@@ -1,6 +1,7 @@
 """Estimator semantics: exact base cases, draw accounting, sharing, truncation."""
 
 import dataclasses
+import hashlib
 import itertools
 import tracemalloc
 
@@ -304,6 +305,39 @@ def test_peak_memory_is_bounded_by_tiles_at_d1():
     peak = _traced_peak(
         lambda: estimate_batch(prob, params, 0.1, np.zeros(d), K))
     bound = n * min(estimator._TILE, K * n**n * d) * 8 + 16 * 8 * K * n**n
+    assert peak <= bound, (peak, bound)
+
+
+def _store_bound(n, d):
+    # elements the store holds at most at n levels, whatever K and M^n, when
+    # no lane spans a tile and a chunk's lanes fit in one tile's rows: per
+    # frame on the deepest path one tile of points and eight arrays of one
+    # element per tile row (the frame's results, its two parent digests, a
+    # tile's two digests, times and scales, and a child's results)
+    rows = max(1, estimator._TILE // d)
+    return n * (estimator._TILE + 8 * rows)
+
+
+def test_peak_memory_does_not_grow_with_repetitions(monkeypatch):
+    # d = 1, n = M = 4, K = 4000: one chunk of 4000 lanes.  The store and
+    # one tile of outputs bound the run; lanes * M^n arrays would not fit
+    n, d, K = 4, 1, 4000
+    plans = []
+
+    class Planned(estimator._Scratch):
+        def __init__(self, size):
+            super().__init__(size)
+            plans.append(size)
+
+    monkeypatch.setattr(estimator, "_Scratch", Planned)
+    prob = make_problem(dimension=d, horizon=0.1,
+                        data=builtin_data("cosine_mean", d, kappa=1.0))
+    params = params_for(n, n, r=3.0, seed=1)
+    peak = _traced_peak(
+        lambda: estimate_batch(prob, params, 0.1, np.zeros(d), K))
+    rows = max(1, estimator._TILE // d)
+    assert len(plans) == 1 and plans[0] <= _store_bound(n, d), plans
+    bound = 8 * (_store_bound(n, d) + rows)
     assert peak <= bound, (peak, bound)
 
 
@@ -665,3 +699,63 @@ def test_estimate_hardcoded_mirror(monkeypatch):
     assert got == ESTIMATE_MIRROR
     assert tallies == {key: {tally}
                        for key, tally in ESTIMATE_MIRROR_TALLY.items()}
+
+
+# estimate_batch at shapes whose lanes span tiles or share them, with
+# cosine_mean data (kappa = 1), so every gaussian reaches a value: by (d,
+# orientation, nonlinearity), the SHA-256 of the values' float.hex joined
+# by commas.  n = M = 5, seed 8, radius 3, T = 0.5, x = linspace(-0.4,
+# 0.3, d), t = 0.4 forward and 0.1 backward.  At d = 100 (K = 2) the top
+# data pass of a lane, 3125 samples in tiles of 1310 rows, spans three
+# tiles; at d = 1 (K = 100) the top pass's tiles hold 41 whole lanes each
+TILED_MIRROR = {
+    (100, "forward", "allen_cahn"):
+        "bfa3f305a144227ecc942d1e8430b37cefd5831167666c31728a2241cbca72ca",
+    (100, "forward", "forced"):
+        "6efebdf845890a9a516c281e853633de1a54ef8239ca3688e449ce4459630eec",
+    (100, "backward", "allen_cahn"):
+        "5f0cad5c352f1e59f26e0eadadcf5811e78ef8f62dfb6ced54e572830a5a04fa",
+    (100, "backward", "forced"):
+        "6e7898b1b9cae81ababcdd3d0ef0ce3579c24c2f78c8551833e5133e350c9103",
+    (1, "forward", "allen_cahn"):
+        "38a580af6439f423536347fd61fc802c28480ad35d492d32fabee8d3f7023d23",
+    (1, "forward", "forced"):
+        "0083a2f8734ad424dbff73cbc59f71e1069aaba9d5d9850e33568a56b9fb82a9",
+    (1, "backward", "allen_cahn"):
+        "d25e30684d2755f026c04026953665bc9f9ec3a7ee231a0b047ff292b3005b35",
+    (1, "backward", "forced"):
+        "be90b32a13055b78bddecc8f79627b0179a7210b552e0fd41afeb75b3275b764",
+}
+
+# (gaussian_scalars, uniforms, f_evals, data_evals) per repetition, by
+# (d, nonlinearity); the orientation changes none
+TILED_MIRROR_TALLY = {
+    (100, "allen_cahn"): (6370500, 6080, 12160, 57625),
+    (100, "forced"): (12133000, 63705, 69785, 57625),
+    (1, "allen_cahn"): (63705, 6080, 12160, 57625),
+    (1, "forced"): (121330, 63705, 69785, 57625),
+}
+
+
+def test_estimate_mirror_where_lanes_span_or_share_tiles():
+    # pins the reductions of lanes split across tiles and of tiles that
+    # hold many lanes, at the default tile, where every draw is live
+    nonlinearities = {"allen_cahn": None, "forced": forced_allen_cahn()}
+    got, tallies = {}, {}
+    for (d, K), orientation, f_name in itertools.product(
+            ((100, 2), (1, 100)), ("forward", "backward"), nonlinearities):
+        prob = make_problem(
+            dimension=d, horizon=0.5, orientation=Orientation(orientation),
+            nonlinearity=nonlinearities[f_name],
+            data=builtin_data("cosine_mean", d, kappa=1.0))
+        t = 0.4 if orientation == "forward" else 0.1
+        batch = estimate_batch(prob, params_for(5, 5, r=3.0, seed=8), t,
+                               np.linspace(-0.4, 0.3, d), K)
+        got[(d, orientation, f_name)] = hashlib.sha256(",".join(
+            res.value.hex() for res in batch).encode()).hexdigest()
+        for res in batch:
+            tallies.setdefault((d, f_name), set()).add(
+                dataclasses.astuple(res.tally))
+    assert got == TILED_MIRROR
+    assert tallies == {key: {tally}
+                       for key, tally in TILED_MIRROR_TALLY.items()}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mlpicard import bounds
 from mlpicard.bounds import CapExceededError, rho_min, surrogate_constants
 from mlpicard.experiments import (
     ConvergenceRow,
@@ -210,6 +211,21 @@ def test_epsilon_sweep_validation_and_cap():
         epsilon_sweep(consts, 0.0, [0.5], [1])
     with pytest.raises(CapExceededError):
         epsilon_sweep(consts, 1.0, [1e-6], [1], n_max=10)
+
+
+def test_epsilon_sweep_computes_each_level_bound_once(monkeypatch):
+    # the bounds do not depend on epsilon: six epsilon read one scan
+    calls = []
+    error_bound = bounds.error_bound
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return error_bound(*args)
+
+    monkeypatch.setattr(bounds, "error_bound", counted)
+    epsilon_sweep(surrogate_constants(), 1.0,
+                  [2.0**-k for k in range(1, 7)], [1, 10], n_max=64)
+    assert calls == [(m, m) for m in range(1, 65)]
 
 
 def strip_wall_column(text: str) -> list:
