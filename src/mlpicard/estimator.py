@@ -30,35 +30,42 @@ The engine is vectorized across independent repetitions ("lanes"): the tree
 shape depends only on (n, M), so one traversal serves a whole batch, and the
 inner m-sums fold into the lane axis of the recursive calls.  Each pass
 over the (lane, m) pairs of one level runs in tiles of at most ``_TILE``
-float64 elements, d per pair.  A tile absorbs the node digests of its own
-pairs, draws their times, takes their standard deviations, draws, smears
-and evaluates their d-vectors, and reduces the results into its lanes'
-sums before the next tile starts.  So no array of lanes * M^k elements is
-formed: a frame keeps one result per lane, and a run holds at most one
-tile per frame on the deepest path, whatever K and M^n are, plus one
-lane's results in each pass whose lanes span tiles.  Such a lane is
-gathered in a one-lane buffer and reduced once it is whole, so its sum
-has the bits of one reduction over the pass; summing per-tile partials
-would round differently.  The smear x + sqrt(vs * elapsed) * Z takes the
-standard deviation of each (lane, m) pair; the level-0 data samples of a
-lane share one elapsed time (its outer factor), so they take one square
-root per lane.  Results are a pure function of (seed, node path,
-counter): every lane and every row is computed on its own, so tiles,
-chunks and thread counts cannot change a value or a tally.
+elements of everything their rows hold: a (lane, m) pair is one row, of
+its d point elements and ``_ROW_EXTRA`` more (at a correction its two
+digests, its time and scale, and a child's result), so a tile holds
+``_TILE`` elements at any d, d = 1 included.  A tile absorbs the
+node digests of its own pairs, draws their times, takes their standard
+deviations, draws, smears and evaluates their d-vectors, and reduces the
+results into its lanes' sums before the next tile starts.  So no array of
+lanes * M^k elements is formed: a frame keeps one result per lane, and a
+run holds at most one tile per frame on the deepest path, whatever K and
+M^n are, plus one lane's results in each pass whose lanes span tiles.
+Such a lane is gathered in a one-lane buffer and reduced once it is
+whole, so its sum has the bits of one reduction over the pass; summing
+per-tile partials would round differently.  What a pass repeats for every
+tile is paid once per pass: tiles of whole lanes all absorb the sample
+indices 1..m, whose element side (``absorb_words``, m <= rows elements) is
+computed once.  The smear x + sqrt(vs * elapsed) * Z takes the standard
+deviation of each (lane, m) pair; the level-0 data samples of a lane
+share one elapsed time (its outer factor), so a frame takes one square
+root per lane for them.  Results are a pure function of (seed, node
+path, counter): every lane and every row is computed on its own, so
+tiles, chunks and thread counts cannot change a value or a tally.
 
 The arrays the engine allocates itself (each frame's results, the node
 digests, the uniforms, which become the sampled times in place, the
-standard deviations, each tile of points and the one-lane buffers) come
-from one scratch store per run, that is per chunk and so per worker
-thread; nothing is shared across threads.  The store is one buffer, sized
-before the run to the most those arrays hold at once, handed out and
-taken back in stack order as the recursion enters and leaves a frame, a
-pass or a tile, and released when the run returns.  A frame's results
-are its first take and stay in the store for its caller, which reads them
-and releases them with its tile.  So a frame reuses the bytes of its
-predecessor instead of asking the allocator again, which at d = 1 used to
-trim and re-fault the same pages on every call, and the store never holds
-more than the run's largest live set.  What a data or reaction callable
+standard deviations, each tile of points and the one-lane buffers, but
+not a pass's element words) come from one scratch store per run, that
+is per chunk and so per worker thread; nothing is shared across
+threads.  The store is one buffer, sized before the run to the most
+those arrays hold at once, handed out and taken back in stack order as
+the recursion enters and leaves a frame, a pass or a tile, and released
+when the run returns.  A frame's results are its first take and stay in
+the store for its caller, which reads them and releases them with its
+tile.  So a frame reuses the bytes of its predecessor instead of asking
+the allocator again, which at d = 1 used to trim and re-fault the same
+pages on every call, and the store never holds more than the run's
+largest live set.  What a data or reaction callable
 returns is reduced before its tile's takes are released, so a callable
 may return a view of its input.
 
@@ -77,18 +84,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import Orientation, PdeProblem, eval_truncated_f
-from .randomness import absorb_vec, gaussians_vec, path_digest, uniforms_vec
+from .randomness import (absorb_vec, absorb_words, gaussians_vec, path_digest,
+                         uniforms_vec)
 
 # repetitions per chunk, the unit of parallel work: chunk * M^n * d stays
-# near this many elements.  It bounds no memory: the tiles do, and a chunk's
-# lanes add only their results, one per lane
+# near this many elements, unless that leaves a worker without a chunk.  It
+# bounds no memory: the tiles do, and a chunk's lanes add only a few
+# elements each
 _CHUNK_BUDGET = 1 << 22
 
-# float64 elements per tile (1 MB, 4 * randomness._BLOCK): the recursion
-# draws, evaluates and reduces its (lane, m) pairs one tile at a time, so a
-# frame holds at most one tile of points with their digests, times and
-# scales, and a run at most one per frame on the deepest path
+# elements per tile (1 MB, 4 * randomness._BLOCK), counting everything its
+# rows hold: the recursion draws, evaluates and reduces its (lane, m) pairs
+# one tile at a time, so a frame holds at most one tile and a run at most
+# one per frame on the deepest path
 _TILE = 1 << 17
+
+# elements a tile row holds besides its d point elements: at a correction
+# its two digests (of k and -k), its time and scale, and the level-k
+# child's result, kept while the level-(k - 1) child runs
+_ROW_EXTRA = 5
 
 
 @dataclass(frozen=True)
@@ -203,10 +217,11 @@ class _Engine:
         # multiplies the f term and every correction; also the data elapsed
         return t if self.forward else self.horizon - t
 
-    def _absorb(self, digests, depth, elems):
-        # digests (B, 1) and elems a scalar or an (m,) array
+    def _absorb(self, digests, depth, elems, words=None):
+        # digests (B, 1) and elems a scalar or an (m,) array; words are
+        # elems' absorb_words when the pass computed them once for its tiles
         out = self.scratch.take((digests.shape[0], np.size(elems)))
-        return absorb_vec(digests, depth, elems, out=out)
+        return absorb_vec(digests, depth, elems, out=out, words=words)
 
     def _sample_times(self, t, digests):
         # R uniform on [0, t] forward (t * u), on [t, T] backward
@@ -243,23 +258,23 @@ class _Engine:
         z += x[:, None, :]
         return z.reshape(-1, self.d)
 
-    def _draw(self, t, x, parents, lane, j, depth):
+    def _draw(self, t, x, parents, lane, elems, words, depth):
         # the (R, X) draws of one tile's (lane, m) pairs under the lanes'
         # parent digests: the pairs' digests, the times R (flat) and points X
-        dig = self._absorb(parents[lane], depth, _samples(j))
+        dig = self._absorb(parents[lane], depth, elems, words)
         r = self._sample_times(t[lane, None], dig)
         pts = self._points(x[lane], self._scale(t[lane, None], r), dig,
                            self.slots1)
         return dig, r.reshape(-1), pts
 
     def _rows(self):
-        # (lane, m) pairs per tile, d elements each
-        return max(1, _TILE // self.d)
+        # (lane, m) pairs per tile, d + _ROW_EXTRA elements each
+        return max(1, _TILE // (self.d + _ROW_EXTRA))
 
     def _tiles(self, lanes, m):
-        # (lane, m) rectangles of at most _TILE elements, d per pair: runs of
-        # whole lanes while a lane fits, else runs of m inside one lane.
-        # Each rectangle is a contiguous run of the row-major (lanes * m) fold
+        # (lane, m) rectangles of at most _rows() pairs: runs of whole lanes
+        # while a lane fits, else runs of m inside one lane.  Each rectangle
+        # is a contiguous run of the row-major (lanes * m) fold
         rows = self._rows()
         if m <= rows:
             step = rows // m
@@ -270,20 +285,30 @@ class _Engine:
                 for j in range(0, m, rows):
                     yield slice(b, b + 1), slice(j, min(j + rows, m))
 
-    def _pass(self, lanes, m, sample, fold):
-        # sample(lane, j) gives the results of one tile's (lane, m) pairs,
-        # which fold(lane, results (b, m)) reduces into the frame's sums
-        # before the tile's takes are released.  A lane that spans tiles is
-        # gathered in a one-lane buffer and folded once it is whole, so
+    def _pass(self, lanes, m, depth, sign, sample, fold):
+        # sample(lane, elems, words) gives the results of one tile's (lane,
+        # m) pairs, whose digests absorb the sample indices elems = sign *
+        # (j.start + 1 .. j.stop) at depth, and fold(lane, results (b, m))
+        # reduces them into the frame's sums before the tile's takes are
+        # released.  Runs of whole lanes all absorb sign * (1..m), so their
+        # words (absorb_words) are computed once per pass; a tile inside a
+        # lane gets None and absorbs its own slice.  A lane that spans tiles
+        # is gathered in a one-lane buffer and folded once it is whole, so
         # every lane is reduced in one call, as if the pass were one array:
         # summing per-tile partials would round differently
         scratch = self.scratch
         start = scratch.mark()
         spans = m > self._rows()
-        whole = scratch.take((1, m), np.float64) if spans else None
+        if spans:
+            whole = scratch.take((1, m), np.float64)
+        else:
+            elems = sign * _samples(slice(0, m))
+            words = absorb_words(depth, elems)
         tile = scratch.mark()
         for lane, j in self._tiles(lanes, m):
-            values = sample(lane, j)
+            if spans:
+                elems, words = sign * _samples(j), None
+            values = sample(lane, elems, words)
             if spans:
                 whole[0, j] = values
                 if j.stop == m:
@@ -317,13 +342,14 @@ class _Engine:
         for k in range(1, n):
             whole, r = first_tile(M ** (n - k))
             # the lanes' digests at k (and -k from k = 2), the buffer, then
-            # the tile's times, scales, points and digests (of -k too), and
-            # the level-k and level-(k - 1) evaluations, the first's results
-            # kept
+            # d + _ROW_EXTRA elements per tile row (no -k digest at k = 1),
+            # the last of them the level-k child's results, and above them
+            # the rest of that child or the level-(k - 1) one
             digs = 1 if k == 1 else 2
-            peak = max(peak, lanes * (1 + digs) + whole + r * (digs + 2 + d)
-                       + max(self._peak(k, r, seen),
-                             r + self._peak(k - 1, r, seen)))
+            row = d + _ROW_EXTRA - (k == 1)
+            peak = max(peak, lanes * (1 + digs) + whole + r * row
+                       + max(self._peak(k, r, seen) - r,
+                             self._peak(k - 1, r, seen)))
         seen[n, lanes] = peak
         return peak
 
@@ -354,20 +380,23 @@ class _Engine:
         frame = scratch.mark()
 
         # level 0: data samples at nodes (theta, 0, -m), m = 1..M^n.  Their
-        # elapsed time is outer for every m, so one square root per lane
+        # elapsed time is outer for every m, so one standard deviation per
+        # lane, taken once per frame in total, which holds it until the
+        # lane's data fold writes the lane's mean over it
         Mn = M**n
+        np.multiply(self._outer_coef(t), vs, out=total)
+        np.sqrt(total, out=total)
         dig_zero = self._absorb(digests[:, None], depth + 1, 0)
 
-        def data_sample(lane, j):
-            dig = self._absorb(dig_zero[lane], depth + 2, -_samples(j))
-            scale = np.sqrt(vs * self._outer_coef(t[lane]))
-            return data.eval(self._points(x[lane], scale[:, None], dig,
+        def data_sample(lane, elems, words):
+            dig = self._absorb(dig_zero[lane], depth + 2, elems, words)
+            return data.eval(self._points(x[lane], total[lane, None], dig,
                                           self.gauss_slots))
 
         def data_fold(lane, vals):
-            total[lane] = vals.mean(axis=1)
+            np.divide(np.add.reduce(vals, axis=1), Mn, out=total[lane])
 
-        self._pass(B, Mn, data_sample, data_fold)
+        self._pass(B, Mn, depth + 2, -1, data_sample, data_fold)
         tally.gaussian_scalars += B * Mn * d
         tally.data_evals += B * Mn
 
@@ -376,14 +405,16 @@ class _Engine:
         if self.skip_f0:
             total += self._outer_coef(t) * nl.f_at_zero
         else:
-            def f_sample(lane, j):
-                _, r, pts = self._draw(t, x, dig_zero, lane, j, depth + 2)
+            def f_sample(lane, elems, words):
+                _, r, pts = self._draw(t, x, dig_zero, lane, elems, words,
+                                       depth + 2)
                 return nl.eval(r, pts, np.zeros(len(pts)))
 
             def f_fold(lane, vals):
-                total[lane] += self._outer_coef(t[lane]) * vals.mean(axis=1)
+                total[lane] += self._outer_coef(t[lane]) * (
+                    np.add.reduce(vals, axis=1) / Mn)
 
-            self._pass(B, Mn, f_sample, f_fold)
+            self._pass(B, Mn, depth + 2, 1, f_sample, f_fold)
             tally.uniforms += B * Mn
             tally.gaussian_scalars += B * Mn * d
             tally.f_evals += B * Mn
@@ -402,10 +433,10 @@ class _Engine:
                 self._correction, k, t, x, dig_k, dig_mk, depth + 2, tally)
 
             def correction_fold(lane, diff, Mm=Mm):
-                total[lane] += (self._outer_coef(t[lane]) / Mm) * diff.sum(
-                    axis=1)
+                total[lane] += (self._outer_coef(t[lane]) / Mm) * (
+                    np.add.reduce(diff, axis=1))
 
-            self._pass(B, Mm, correct, correction_fold)
+            self._pass(B, Mm, depth + 2, 1, correct, correction_fold)
             tally.uniforms += B * Mm
             tally.gaussian_scalars += B * Mm * d
             tally.f_evals += 2 * B * Mm
@@ -413,13 +444,15 @@ class _Engine:
 
         return total
 
-    def _correction(self, k, t, x, dig_k, dig_mk, depth, tally, lane, j):
+    def _correction(self, k, t, x, dig_k, dig_mk, depth, tally, lane, elems,
+                    words):
         # f_r(U_k) - f_r(U_{k-1}) at one tile of the correction draws (R, X)
         # of nodes (theta, k, m) and their twins (theta, -k, m)
-        dig_hi, r, pts = self._draw(t, x, dig_k, lane, j, depth)
+        dig_hi, r, pts = self._draw(t, x, dig_k, lane, elems, words, depth)
         dig_lo = None
         if dig_mk is not None:
-            dig_lo = self._absorb(dig_mk[lane], depth, _samples(j)).reshape(-1)
+            dig_lo = self._absorb(dig_mk[lane], depth, elems,
+                                  words).reshape(-1)
         sub_hi = self._evaluate(k, r, pts, dig_hi.reshape(-1), depth, tally)
         sub_lo = self._evaluate(k - 1, r, pts, dig_lo, depth, tally)
         rr = self.params.truncation_radius
@@ -463,7 +496,9 @@ def estimate_batch(
     x = _validate_point(problem, t, x)
     n, M, d = params.levels, params.branching, problem.dimension
     per_lane = max(1, M**n * max(d, 1))
-    chunk = int(np.clip(_CHUNK_BUDGET // per_lane, 1, repetitions))
+    # at least min(K, workers) chunks, so that every worker gets one
+    chunk = int(np.clip(_CHUNK_BUDGET // per_lane, 1,
+                        -(-repetitions // worker_count)))
     starts = list(range(0, repetitions, chunk))
     root = np.array([path_digest(params.seed, ())], dtype=np.uint64)
 

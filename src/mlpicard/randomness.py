@@ -152,18 +152,28 @@ def _slot_offsets(counters) -> np.ndarray:
     return np.multiply(np.add(c, np.uint64(1)), _NP_PHI)
 
 
+def absorb_words(depth: int, elems) -> np.ndarray:
+    """The element side of absorbing ``elems`` at 1-based ``depth``:
+    mix64(zigzag(v) + depth * phi) for each v, which no digest enters."""
+    offset = np.uint64((depth * _PHI64) & _MASK64)
+    return _mix64_blocks(
+        np.asarray(np.add(_zigzag_vec(elems), offset, order="C")))
+
+
 def absorb_vec(digests: np.ndarray, depth: int, elems,
-               out: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray | None = None,
+               words: np.ndarray | None = None) -> np.ndarray:
     """Extend digests (any shape) by one path element at 1-based ``depth``.
 
     ``elems`` broadcasts against ``digests``; both scalars and arrays of
     per-lane indices are accepted.  ``out`` (uint64) receives the result.
+    ``words``, if given, is ``absorb_words(depth, elems)``, so a caller
+    that absorbs the same elements under many digests computes it once.
     """
-    offset = np.uint64((depth * _PHI64) & _MASK64)
-    z = _mix64_blocks(
-        np.asarray(np.add(_zigzag_vec(elems), offset, order="C")))
+    if words is None:
+        words = absorb_words(depth, elems)
     return _mix64_blocks(
-        np.asarray(np.bitwise_xor(digests, z, order="C", out=out)))
+        np.asarray(np.bitwise_xor(digests, words, order="C", out=out)))
 
 
 def raw_vec(digests: np.ndarray, counters,

@@ -1,0 +1,44 @@
+"""The benchmark's recorded constants match what its ops actually run."""
+
+import pathlib
+import sys
+
+import pytest
+
+from mlpicard import estimator, experiments
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    yield workloads
+    sys.modules.pop("workloads", None)
+
+
+@pytest.mark.parametrize("name", ["point_d100", "table_d1", "cli_d1000_2w"])
+def test_lanes_per_chunk_is_what_estimate_batch_runs(monkeypatch, tmp_path,
+                                                      workloads, name):
+    # one op of the workload, at its own thread count, with the lanes of
+    # every _Engine.run it makes, by level
+    runs = []
+    run = estimator._Engine.run
+
+    def recorded(self, t, x, digests, tally):
+        runs.append((self.params.levels, t.shape[0]))
+        return run(self, t, x, digests, tally)
+
+    monkeypatch.setattr(estimator._Engine, "run", recorded)
+    # table_d1's set-up wraps experiments.estimate_batch; undone on exit
+    monkeypatch.setattr(experiments, "estimate_batch",
+                        experiments.estimate_batch)
+    wl = workloads.WORKLOADS[name](seed=1, results_dir=str(tmp_path))
+    wl.setup()
+    wl.run(0)
+    for call in wl.calls:
+        lanes = call.constants()["lanes_per_chunk"]
+        chunks = [min(lanes, call.reps - s) for s in range(0, call.reps, lanes)]
+        assert sorted(b for n, b in runs if n == call.n) == sorted(chunks), (
+            call.n, runs)

@@ -193,7 +193,8 @@ def test_caller_point_is_never_written(monkeypatch):
     assert x.tobytes() == before.tobytes()
 
 
-def test_batch_pool_starts_no_more_workers_than_chunks(monkeypatch):
+def _recording_pool(monkeypatch):
+    # the max_workers of every pool estimate_batch starts, in order
     requested = []
 
     class RecordingPool(estimator.ThreadPoolExecutor):
@@ -202,14 +203,34 @@ def test_batch_pool_starts_no_more_workers_than_chunks(monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordingPool)
-    # d = 3, n = M = 2: 12 elements per lane, so 4-lane chunks, 3 of them
+    return requested
+
+
+def test_batch_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    requested = _recording_pool(monkeypatch)
+    # d = 3, n = M = 2: 12 elements per lane, so 4-lane chunks by the
+    # budget, but 64 workers for 10 repetitions make 10 one-lane chunks
     monkeypatch.setattr(estimator, "_CHUNK_BUDGET", 4 * 2**2 * 3)
     prob = forward_problem(d=3)
     params = params_for(2, 2, seed=4)
     wide = estimate_batch(prob, params, 0.5, np.zeros(3), 10, worker_count=64)
-    assert requested == [3]
+    assert requested == [10]
     serial = estimate_batch(prob, params, 0.5, np.zeros(3), 10)
     assert [r.value for r in wide] == [r.value for r in serial]
+
+
+def test_batch_gives_every_worker_a_chunk(monkeypatch):
+    # d = 1, n = M = 4: the budget fits both repetitions in one chunk, but
+    # two workers get one chunk each, with the values of one worker
+    requested = _recording_pool(monkeypatch)
+    prob = forward_problem(d=1, data=builtin_data("cosine_mean", 1, kappa=1.0))
+    params = params_for(4, 4, seed=3)
+    pair = estimate_batch(prob, params, 0.5, np.zeros(1), 2, worker_count=2)
+    assert requested == [2]
+    serial = estimate_batch(prob, params, 0.5, np.zeros(1), 2)
+    assert requested == [2]
+    assert [(r.value, r.tally) for r in pair] == [
+        (r.value, r.tally) for r in serial]
 
 
 def _tile_run(log, prob, params, t, x):
@@ -227,9 +248,10 @@ def _tile_run(log, prob, params, t, x):
 @pytest.mark.parametrize("f_at_zero", [True, False])
 def test_tiny_tiles_change_nothing(monkeypatch, recursion_log, d, data_name,
                                    f_at_zero):
-    # _TILE = 7 gives tiles of 7 rows at d = 1 (runs of whole lanes at
-    # M^k <= 3, runs inside a lane above) and of 2 rows at d = 3 (runs
-    # inside a lane), so lanes and rows split across tiles at every level
+    # tiles of 7 rows at d = 1 (runs of whole lanes at M^k <= 3, runs
+    # inside a lane above) and of 2 rows at d = 3 (runs inside a lane), so
+    # lanes and rows split across tiles at every level
+    tiny = (7 if d == 1 else 2) * (d + estimator._ROW_EXTRA)
     params_ = {"value": 2.0} if data_name == "constant" else {"kappa": 1.5}
     data = builtin_data(data_name, d, **params_)
     nl = None if f_at_zero else no_skip_allen_cahn()
@@ -242,9 +264,9 @@ def test_tiny_tiles_change_nothing(monkeypatch, recursion_log, d, data_name,
                 # 3 lanes per chunk, so 3 chunks of the 7 repetitions
                 patch.setattr(estimator, "_CHUNK_BUDGET", 3 * M**n * d)
                 default = _tile_run(recursion_log, prob, params, t, x)
-                patch.setattr(estimator, "_TILE", 7)
-                tiny = _tile_run(recursion_log, prob, params, t, x)
-            assert tiny == default, (prob.orientation, n, M)
+                patch.setattr(estimator, "_TILE", tiny)
+                tiled = _tile_run(recursion_log, prob, params, t, x)
+            assert tiled == default, (prob.orientation, n, M)
 
 
 def _tile_bound(n):
@@ -339,6 +361,30 @@ def test_peak_memory_does_not_grow_with_repetitions(monkeypatch):
     assert len(plans) == 1 and plans[0] <= _store_bound(n, d), plans
     bound = 8 * (_store_bound(n, d) + rows)
     assert peak <= bound, (peak, bound)
+
+
+def _plan_bound(n, M, K):
+    # elements the store may plan for K lanes at n levels, whatever d.  A
+    # path of the recursion has at most n frames with passes (levels n..1),
+    # each holding at most one tile of _TILE elements, d + 5 per row (a
+    # correction row's points, two digests, time, scale and the level-k
+    # child's result), and at most one spanning pass's one-lane buffer, of
+    # at most M^level elements.  Besides, a frame holds at most three
+    # elements per lane (its result and two digests); the top frame has K
+    # lanes, each deeper one the rows of one tile, at most _TILE / 6
+    return (n * estimator._TILE + 3 * K + (n - 1) * (estimator._TILE // 2)
+            + sum(M**j for j in range(1, n + 1)))
+
+
+def test_plan_bound_does_not_depend_on_dimension():
+    # a tile's rows count everything they hold, so a frame plans about one
+    # tile of elements at any d, d = 1 included
+    for d, n, K, nl in itertools.product(
+            (1, 2, 7, 100, 1000), (3, 4, 5), (1, 2, 1000),
+            (None, no_skip_allen_cahn())):
+        prob = make_problem(dimension=d, horizon=0.5, nonlinearity=nl)
+        plan = estimator._Engine(prob, params_for(n, n))._peak(n, K, {})
+        assert plan <= _plan_bound(n, n, K), (d, n, K, plan)
 
 
 @pytest.mark.parametrize("tile", [None, 7])
@@ -706,8 +752,8 @@ def test_estimate_hardcoded_mirror(monkeypatch):
 # orientation, nonlinearity), the SHA-256 of the values' float.hex joined
 # by commas.  n = M = 5, seed 8, radius 3, T = 0.5, x = linspace(-0.4,
 # 0.3, d), t = 0.4 forward and 0.1 backward.  At d = 100 (K = 2) the top
-# data pass of a lane, 3125 samples in tiles of 1310 rows, spans three
-# tiles; at d = 1 (K = 100) the top pass's tiles hold 41 whole lanes each
+# data pass of a lane, 3125 samples in tiles of 1248 rows, spans three
+# tiles; at d = 1 (K = 100) the top pass's tiles hold 6 whole lanes each
 TILED_MIRROR = {
     (100, "forward", "allen_cahn"):
         "bfa3f305a144227ecc942d1e8430b37cefd5831167666c31728a2241cbca72ca",
