@@ -24,7 +24,10 @@ Two structural rules carry the scheme's variance reduction and independence:
 
 When f(.,.,0) is a known constant the level-0 f-draws are skipped and the
 term is added in closed form; the tally then undercounts the cost model
-strictly (the model charges those draws regardless).
+strictly (the model charges those draws regardless).  The tally is counted
+where the work is done: the gaussians and uniforms by the elements each
+kernel call writes, the data and reaction evaluations by the rows each
+call receives.  So a tile that is skipped or repeated shows in it.
 
 The engine is vectorized across independent repetitions ("lanes"): the tree
 shape depends only on (n, M), so one traversal serves a whole batch, and the
@@ -36,13 +39,16 @@ digests, its time and scale, and a child's result), so a tile holds
 ``_TILE`` elements at any d, d = 1 included.  A tile absorbs the
 node digests of its own pairs, draws their times, takes their standard
 deviations, draws, smears and evaluates their d-vectors, and reduces the
-results into its lanes' sums before the next tile starts.  So no array of
-lanes * M^k elements is formed: a frame keeps one result per lane, and a
-run holds at most one tile per frame on the deepest path, whatever K and
-M^n are, plus one lane's results in each pass whose lanes span tiles.
-Such a lane is gathered in a one-lane buffer and reduced once it is
-whole, so its sum has the bits of one reduction over the pass; summing
-per-tile partials would round differently.  What a pass repeats for every
+results to its lanes' sums, which the pass yields to its frame before the
+next tile starts.  So no array of lanes * M^k elements is formed: a frame
+keeps one result per lane, and a run holds at most one tile and one node
+per frame on the deepest path, whatever K and M^n are.  A node is part of
+a lane that spans tiles: such a lane is summed along numpy's own pairwise
+tree (``_PAIRWISE_BLOCK``), split where numpy splits it until a node holds
+at most max(rows, 128) results, each node gathered tile by tile and
+reduced in one call, and sibling nodes added as numpy adds them.  So its
+sum has the bits of one reduction over the pass; summing per-tile partials
+would round differently.  What a pass repeats for every
 tile is paid once per pass: tiles of whole lanes all absorb the sample
 indices 1..m, whose element side (``absorb_words``, m <= rows elements) is
 computed once.  The smear x + sqrt(vs * elapsed) * Z takes the standard
@@ -54,7 +60,7 @@ tiles, chunks and thread counts cannot change a value or a tally.
 
 The arrays the engine allocates itself (each frame's results, the node
 digests, the uniforms, which become the sampled times in place, the
-standard deviations, each tile of points and the one-lane buffers, but
+standard deviations, each tile of points and the nodes, but
 not a pass's element words) come from one scratch store per run, that
 is per chunk and so per worker thread; nothing is shared across
 threads.  The store is one buffer, sized before the run to the most
@@ -89,8 +95,8 @@ from .randomness import (absorb_vec, absorb_words, gaussians_vec, path_digest,
 
 # repetitions per chunk, the unit of parallel work: chunk * M^n * d stays
 # near this many elements, unless that leaves a worker without a chunk.  It
-# bounds no memory: the tiles do, and a chunk's lanes add only a few
-# elements each
+# bounds the run's per-lane arrays, a few elements per lane (at n = M = 1,
+# d = 1 a chunk is 2^22 lanes and plans 64.3 MiB); the tiles bound the rest
 _CHUNK_BUDGET = 1 << 22
 
 # elements per tile (1 MB, 4 * randomness._BLOCK), counting everything its
@@ -98,6 +104,13 @@ _CHUNK_BUDGET = 1 << 22
 # one tile at a time, so a frame holds at most one tile and a run at most
 # one per frame on the deepest path
 _TILE = 1 << 17
+
+# numpy sums a contiguous float64 run along a pairwise tree (pairwise_sum in
+# numpy/_core/src/umath/loops_utils.h.src): a run of at most this many
+# elements in one loop of eight accumulators, a longer one as the sum of
+# its two halves, split by _pairwise_half.  A lane that spans tiles is
+# summed along the same tree, so its sum keeps the bits of one reduction
+_PAIRWISE_BLOCK = 128
 
 # elements a tile row holds besides its d point elements: at a correction
 # its two digests (of k and -k), its time and scale, and the level-k
@@ -117,6 +130,11 @@ class MlpParams:
             raise ValueError(f"levels must be >= 0, got {self.levels}")
         if self.branching < 1:
             raise ValueError(f"branching must be >= 1, got {self.branching}")
+        # sample indices 1..M^n are int64 node path elements
+        if self.branching ** min(self.levels, 64) >= 1 << 63:
+            raise ValueError(
+                f"branching ** levels must be below 2**63, got "
+                f"{self.branching} ** {self.levels}")
         if not self.truncation_radius > 0.0:
             raise ValueError(
                 f"truncation_radius must be > 0, got {self.truncation_radius}"
@@ -193,6 +211,28 @@ class _Scratch:
         self._used = mark
 
 
+def _pairwise_half(n):
+    # numpy's split of a run of n > _PAIRWISE_BLOCK elements: its first
+    # half, cut to a multiple of the 8-way unroll
+    half = n // 2
+    return half - half % 8
+
+
+def _largest_node(m, node):
+    # the longest run that the pairwise tree of m elements leaves whole once
+    # it stops splitting at runs of at most node elements.  Runs of one
+    # length split alike, so the walk keeps a few lengths per depth
+    largest, runs = 0, {m}
+    while runs:
+        n = runs.pop()
+        if n <= node:
+            largest = max(largest, n)
+        else:
+            half = _pairwise_half(n)
+            runs.update((half, n - half))
+    return largest
+
+
 def _samples(j):
     # the sample indices m = j.start + 1 .. j.stop of a tile's slice j
     return np.arange(j.start + 1, j.stop + 1, dtype=np.int64)
@@ -228,6 +268,7 @@ class _Engine:
         # (t + (T - t) * u), formed in the uniforms' own array
         u = uniforms_vec(digests, 0,
                          out=self.scratch.take(digests.shape, np.float64))
+        self.tally.uniforms += u.size
         if self.forward:
             u *= t
         else:
@@ -254,6 +295,7 @@ class _Engine:
         z = gaussians_vec(
             digests[:, :, None], slots,
             out=self.scratch.take((*digests.shape, self.d), np.float64))
+        self.tally.gaussian_scalars += z.size
         z *= scale[:, :, None]
         z += x[:, None, :]
         return z.reshape(-1, self.d)
@@ -271,52 +313,57 @@ class _Engine:
         # (lane, m) pairs per tile, d + _ROW_EXTRA elements each
         return max(1, _TILE // (self.d + _ROW_EXTRA))
 
-    def _tiles(self, lanes, m):
-        # (lane, m) rectangles of at most _rows() pairs: runs of whole lanes
-        # while a lane fits, else runs of m inside one lane.  Each rectangle
-        # is a contiguous run of the row-major (lanes * m) fold
-        rows = self._rows()
-        if m <= rows:
-            step = rows // m
-            for b in range(0, lanes, step):
-                yield slice(b, min(b + step, lanes)), slice(0, m)
-        else:
-            for b in range(lanes):
-                for j in range(0, m, rows):
-                    yield slice(b, b + 1), slice(j, min(j + rows, m))
+    def _node(self):
+        # the longest run of a spanning lane that is reduced in one call
+        return max(self._rows(), _PAIRWISE_BLOCK)
 
-    def _pass(self, lanes, m, depth, sign, sample, fold):
+    def _pass(self, lanes, m, depth, sign, sample):
+        # yields (lane, sums) for a slice of the lanes and their sums over
+        # the pass, each reduced as if the pass were one array.
         # sample(lane, elems, words) gives the results of one tile's (lane,
         # m) pairs, whose digests absorb the sample indices elems = sign *
-        # (j.start + 1 .. j.stop) at depth, and fold(lane, results (b, m))
-        # reduces them into the frame's sums before the tile's takes are
-        # released.  Runs of whole lanes all absorb sign * (1..m), so their
-        # words (absorb_words) are computed once per pass; a tile inside a
-        # lane gets None and absorbs its own slice.  A lane that spans tiles
-        # is gathered in a one-lane buffer and folded once it is whole, so
-        # every lane is reduced in one call, as if the pass were one array:
-        # summing per-tile partials would round differently
+        # (j.start + 1 .. j.stop) at depth; the tile's takes are released
+        # once the caller has used the sums.  Tiles of whole lanes all
+        # absorb sign * (1..m), so their words (absorb_words) are computed
+        # once per pass; a lane that spans tiles is summed by _span_sum
+        rows = self._rows()
+        if m > rows:
+            for b in range(lanes):
+                yield slice(b, b + 1), self._span_sum(b, 0, m, sign, sample)
+            return
         scratch = self.scratch
-        start = scratch.mark()
-        spans = m > self._rows()
-        if spans:
-            whole = scratch.take((1, m), np.float64)
-        else:
-            elems = sign * _samples(slice(0, m))
-            words = absorb_words(depth, elems)
-        tile = scratch.mark()
-        for lane, j in self._tiles(lanes, m):
-            if spans:
-                elems, words = sign * _samples(j), None
+        elems = sign * _samples(slice(0, m))
+        words = absorb_words(depth, elems)
+        step = rows // m
+        for b in range(0, lanes, step):
+            lane = slice(b, min(b + step, lanes))
+            tile = scratch.mark()
             values = sample(lane, elems, words)
-            if spans:
-                whole[0, j] = values
-                if j.stop == m:
-                    fold(lane, whole)
-            else:
-                fold(lane, values.reshape(-1, m))
+            yield lane, np.add.reduce(values.reshape(-1, m), axis=1)
             scratch.release(tile)
+
+    def _span_sum(self, b, lo, hi, sign, sample):
+        # lane b's sum over its samples lo + 1 .. hi, along numpy's pairwise
+        # tree: a run longer than _node() is the sum of its two halves, a
+        # shorter one is gathered tile by tile into one take and reduced in
+        # one call.  So the sum has the bits of one reduction over the
+        # lane, and no take holds more than _node() results
+        if hi - lo > self._node():
+            cut = lo + _pairwise_half(hi - lo)
+            return (self._span_sum(b, lo, cut, sign, sample)
+                    + self._span_sum(b, cut, hi, sign, sample))
+        scratch, rows = self.scratch, self._rows()
+        start = scratch.mark()
+        node = scratch.take((hi - lo,), np.float64)
+        tile = scratch.mark()
+        for i in range(lo, hi, rows):
+            j = slice(i, min(i + rows, hi))
+            node[i - lo:j.stop - lo] = sample(slice(b, b + 1),
+                                              sign * _samples(j), None)
+            scratch.release(tile)
+        total = np.add.reduce(node)
         scratch.release(start)
+        return total
 
     def _peak(self, n, lanes, seen):
         # elements the store holds at most while _evaluate(n) runs on lanes
@@ -330,24 +377,26 @@ class _Engine:
         M, d, rows = self.params.branching, self.d, self._rows()
 
         def first_tile(m):
-            # the first tile's rows, after a spanning pass's one-lane buffer
+            # a spanning pass's largest node, then the rows of its first
+            # tile, the largest of the pass
             if m > rows:
-                return m, rows
+                node = _largest_node(m, self._node())
+                return node, min(node, rows)
             return 0, min(lanes, rows // m) * m
 
-        # level 0: the results and dig_zero, then a pass's buffer and the
-        # tile's digests, points and, for the f samples, times and scales
-        whole, r = first_tile(M**n)
-        peak = 2 * lanes + whole + r * (d + (1 if self.skip_f0 else 3))
+        # level 0: the results and dig_zero, then a spanning pass's node and
+        # the tile's digests, points and, for the f samples, times and scales
+        node, r = first_tile(M**n)
+        peak = 2 * lanes + node + r * (d + (1 if self.skip_f0 else 3))
         for k in range(1, n):
-            whole, r = first_tile(M ** (n - k))
-            # the lanes' digests at k (and -k from k = 2), the buffer, then
+            node, r = first_tile(M ** (n - k))
+            # the lanes' digests at k (and -k from k = 2), the node, then
             # d + _ROW_EXTRA elements per tile row (no -k digest at k = 1),
             # the last of them the level-k child's results, and above them
             # the rest of that child or the level-(k - 1) one
             digs = 1 if k == 1 else 2
             row = d + _ROW_EXTRA - (k == 1)
-            peak = max(peak, lanes * (1 + digs) + whole + r * row
+            peak = max(peak, lanes * (1 + digs) + node + r * row
                        + max(self._peak(k, r, seen) - r,
                              self._peak(k - 1, r, seen)))
         seen[n, lanes] = peak
@@ -356,18 +405,18 @@ class _Engine:
     # the recursion ------------------------------------------------------
 
     def run(self, t, x, digests, tally):
-        # digests are the lanes' root nodes, one path element deep
+        # digests are the lanes' root nodes, one path element deep; tally
+        # counts the draws and evaluations of all lanes where they are made
+        self.tally = tally
         self.scratch = _Scratch(self._peak(self.params.levels, t.shape[0], {}))
         try:
-            return self._evaluate(
-                self.params.levels, t, x, digests, 1, tally).copy()
+            return self._evaluate(self.params.levels, t, x, digests, 1).copy()
         finally:
             self.scratch = None
 
-    def _evaluate(self, n, t, x, digests, depth, tally):
-        # tally counts the draws and evaluations of all B lanes.  The B
-        # results are the frame's first take; they stay in the store when
-        # it returns, for the caller to read and release with its tile
+    def _evaluate(self, n, t, x, digests, depth):
+        # the B results are the frame's first take; they stay in the store
+        # when it returns, for the caller to read and release with its tile
         B = t.shape[0]
         scratch = self.scratch
         total = scratch.take((B,), np.float64)
@@ -375,30 +424,27 @@ class _Engine:
             total.fill(0.0)
             return total
         M = self.params.branching
-        nl, data = self.nl, self.data
-        d, vs = self.d, self.vs
+        nl, data, tally = self.nl, self.data, self.tally
         frame = scratch.mark()
 
         # level 0: data samples at nodes (theta, 0, -m), m = 1..M^n.  Their
         # elapsed time is outer for every m, so one standard deviation per
         # lane, taken once per frame in total, which holds it until the
-        # lane's data fold writes the lane's mean over it
+        # lane's mean is written over it
         Mn = M**n
-        np.multiply(self._outer_coef(t), vs, out=total)
+        np.multiply(self._outer_coef(t), self.vs, out=total)
         np.sqrt(total, out=total)
         dig_zero = self._absorb(digests[:, None], depth + 1, 0)
 
         def data_sample(lane, elems, words):
             dig = self._absorb(dig_zero[lane], depth + 2, elems, words)
-            return data.eval(self._points(x[lane], total[lane, None], dig,
-                                          self.gauss_slots))
+            pts = self._points(x[lane], total[lane, None], dig,
+                               self.gauss_slots)
+            tally.data_evals += len(pts)
+            return data.eval(pts)
 
-        def data_fold(lane, vals):
-            np.divide(np.add.reduce(vals, axis=1), Mn, out=total[lane])
-
-        self._pass(B, Mn, depth + 2, -1, data_sample, data_fold)
-        tally.gaussian_scalars += B * Mn * d
-        tally.data_evals += B * Mn
+        for lane, sums in self._pass(B, Mn, depth + 2, -1, data_sample):
+            np.divide(sums, Mn, out=total[lane])
 
         # level 0: f samples at nodes (theta, 0, m); skipped when f(.,.,0)
         # is a known constant (the term is then deterministic)
@@ -408,16 +454,11 @@ class _Engine:
             def f_sample(lane, elems, words):
                 _, r, pts = self._draw(t, x, dig_zero, lane, elems, words,
                                        depth + 2)
+                tally.f_evals += len(pts)
                 return nl.eval(r, pts, np.zeros(len(pts)))
 
-            def f_fold(lane, vals):
-                total[lane] += self._outer_coef(t[lane]) * (
-                    np.add.reduce(vals, axis=1) / Mn)
-
-            self._pass(B, Mn, depth + 2, 1, f_sample, f_fold)
-            tally.uniforms += B * Mn
-            tally.gaussian_scalars += B * Mn * d
-            tally.f_evals += B * Mn
+            for lane, sums in self._pass(B, Mn, depth + 2, 1, f_sample):
+                total[lane] += self._outer_coef(t[lane]) * (sums / Mn)
         scratch.release(frame)
 
         # corrections k = 1..n-1: (R, X) drawn once at (theta, k, m) and fed
@@ -430,22 +471,14 @@ class _Engine:
             if k > 1:
                 dig_mk = self._absorb(digests[:, None], depth + 1, -k)
             correct = functools.partial(
-                self._correction, k, t, x, dig_k, dig_mk, depth + 2, tally)
-
-            def correction_fold(lane, diff, Mm=Mm):
-                total[lane] += (self._outer_coef(t[lane]) / Mm) * (
-                    np.add.reduce(diff, axis=1))
-
-            self._pass(B, Mm, depth + 2, 1, correct, correction_fold)
-            tally.uniforms += B * Mm
-            tally.gaussian_scalars += B * Mm * d
-            tally.f_evals += 2 * B * Mm
+                self._correction, k, t, x, dig_k, dig_mk, depth + 2)
+            for lane, sums in self._pass(B, Mm, depth + 2, 1, correct):
+                total[lane] += (self._outer_coef(t[lane]) / Mm) * sums
             scratch.release(frame)
 
         return total
 
-    def _correction(self, k, t, x, dig_k, dig_mk, depth, tally, lane, elems,
-                    words):
+    def _correction(self, k, t, x, dig_k, dig_mk, depth, lane, elems, words):
         # f_r(U_k) - f_r(U_{k-1}) at one tile of the correction draws (R, X)
         # of nodes (theta, k, m) and their twins (theta, -k, m)
         dig_hi, r, pts = self._draw(t, x, dig_k, lane, elems, words, depth)
@@ -453,9 +486,10 @@ class _Engine:
         if dig_mk is not None:
             dig_lo = self._absorb(dig_mk[lane], depth, elems,
                                   words).reshape(-1)
-        sub_hi = self._evaluate(k, r, pts, dig_hi.reshape(-1), depth, tally)
-        sub_lo = self._evaluate(k - 1, r, pts, dig_lo, depth, tally)
+        sub_hi = self._evaluate(k, r, pts, dig_hi.reshape(-1), depth)
+        sub_lo = self._evaluate(k - 1, r, pts, dig_lo, depth)
         rr = self.params.truncation_radius
+        self.tally.f_evals += 2 * len(pts)
         return (eval_truncated_f(self.nl, r, pts, sub_hi, rr)
                 - eval_truncated_f(self.nl, r, pts, sub_lo, rr))
 

@@ -76,11 +76,11 @@ def recursion_log(monkeypatch):
     evaluate = estimator._Engine._evaluate
     truncated = estimator.eval_truncated_f
 
-    def logged_evaluate(self, n, t, x, digests, depth, tally):
+    def logged_evaluate(self, n, t, x, digests, depth):
         # copies: the arrays are views of a store that later frames reuse
         log.calls.append((n, t.copy(), x.copy(),
                           None if digests is None else digests.copy()))
-        return evaluate(self, n, t, x, digests, depth, tally)
+        return evaluate(self, n, t, x, digests, depth)
 
     def logged_truncated(nl, t, x, u, r):
         if u.size:

@@ -209,6 +209,17 @@ def test_degenerate_fd_grid_exits_2(tmp_path, capsys, text):
     assert not out_path.exists()
 
 
+def test_levels_past_int64_sample_indices_exit_2(tmp_path, capsys):
+    # 30 levels on the diagonal need sample indices up to 30^30 > 2^63
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[estimator]\nlevels = 30\nbranching = diagonal\n",
+                   encoding="utf-8")
+    code, out, err = run(capsys, "estimate", "--config", str(cfg))
+    assert code == 2
+    assert "below 2**63" in err
+    assert "value_mean" not in out
+
+
 def test_missing_config_file_exits_2(capsys):
     code, _, err = run(capsys, "estimate", "--config", "/nonexistent.ini")
     assert code == 2

@@ -1,5 +1,6 @@
 """Estimator semantics: exact base cases, draw accounting, sharing, truncation."""
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -127,6 +128,20 @@ def test_parameter_validation():
         params_for(1, 1, r=0.0)
 
 
+def test_path_elements_beyond_int64_are_rejected():
+    # sample indices 1..M^n are int64 node path elements, so M^n must stay
+    # below 2**63; the check comes before any plan or allocation
+    for n, M in ((30, 30), (63, 2), (10**6, 2)):
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            params_for(n, M)
+    params_for(62, 2)
+    params_for(10**6, 1)
+    # a shape just below the limit plans one node per frame, not M^n floats
+    prob = forward_problem(d=1)
+    plan = estimator._Engine(prob, params_for(15, 15))._peak(15, 1, {})
+    assert 8 * plan < 16 * 2**20, plan
+
+
 def test_tally_matches_cost_model_without_f_at_zero():
     nl = no_skip_allen_cahn()
     for d, n, M in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 3, 2), (2, 2, 2),
@@ -147,6 +162,57 @@ def test_declared_f_at_zero_strictly_saves_draws():
     # the skipped draws are exactly the level-0 f-samples: 1 uniform + d
     # gaussians per omitted sample, and the model still charges for them
     assert res_skip.tally.uniforms < res_skip.tally.gaussian_scalars
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("f_at_zero", [True, False])
+@pytest.mark.parametrize("tiny", [False, True])
+def test_tally_counts_what_the_kernels_and_callables_receive(monkeypatch, d,
+                                                             f_at_zero, tiny):
+    # the tally is counted where the work is done: times the lanes it is
+    # the elements the gaussian and uniform kernels write and the rows the
+    # data and reaction callables receive.  Tiny tiles (7 rows at d = 1, 2
+    # at d = 3) split every lane over tiles, and at n = M = 4 the top
+    # pass's 256 samples into two nodes of 128
+    counts = collections.Counter()
+
+    def counting(key, fn, size):
+        def counted(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            counts[key] += size(out, *args)
+            return out
+        return counted
+
+    def written(out, *args):
+        return out.size
+
+    for name, key in (("gaussians_vec", "gaussian_scalars"),
+                      ("uniforms_vec", "uniforms")):
+        monkeypatch.setattr(estimator, name,
+                            counting(key, getattr(estimator, name), written))
+    if tiny:
+        monkeypatch.setattr(estimator, "_TILE",
+                            (7 if d == 1 else 2) * (d + estimator._ROW_EXTRA))
+    base = make_problem(dimension=d, horizon=0.5,
+                        nonlinearity=None if f_at_zero else no_skip_allen_cahn(),
+                        data=builtin_data("cosine_mean", d, kappa=1.0))
+    nl, data = base.nonlinearity, base.data
+    prob = dataclasses.replace(
+        base,
+        nonlinearity=dataclasses.replace(nl, eval=counting(
+            "f_evals", nl.eval, lambda out, t, x, u: len(x))),
+        data=dataclasses.replace(data, eval=counting(
+            "data_evals", data.eval, lambda out, x: len(x))))
+    K = 3
+    for n, M in ((3, 3), (4, 4)):
+        counts.clear()
+        batch = estimate_batch(prob, params_for(n, M, r=3.0, seed=2), 0.4,
+                               np.linspace(-0.4, 0.3, d), K)
+        tally = batch[0].tally
+        assert dict(counts) == {key: K * value for key, value in
+                                dataclasses.asdict(tally).items()}, (n, M)
+        if not f_at_zero:
+            assert tally.total_draws == cost_recursion(d, n, M), (n, M)
 
 
 def test_repetitions_are_independent_of_the_batch_around_them(monkeypatch):
@@ -417,6 +483,62 @@ def test_scratch_holds_exactly_the_largest_live_set(monkeypatch, tile):
         estimate_batch(prob, params_for(n, M, seed=1), 0.4, np.zeros(d), K)
         [run] = runs
         assert run.high == run._buf.size, (d, n, M, K)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_plan_of_spanning_lanes_holds_one_node_per_frame(n):
+    # d = 1, n = M, K = 1: every pass from M^level > 21845 samples up spans
+    # tiles.  The bound is _plan_bound with its buffer term, M^level floats
+    # per frame, replaced by one node of a spanning lane, at most
+    # max(rows, _PAIRWISE_BLOCK) floats per frame: n tiles, three elements
+    # per lane of the top frame and half a tile per deeper one, and n
+    # nodes.  The one-lane buffers planned 6.6, 128 and 2956 MiB at n = 7,
+    # 8, 9; at most 6 MiB is the figure this bound is kept for
+    d, K = 1, 1
+    rows = estimator._TILE // (d + estimator._ROW_EXTRA)
+    bound = (n * estimator._TILE + 3 * K + (n - 1) * (estimator._TILE // 2)
+             + n * max(rows, estimator._PAIRWISE_BLOCK))
+    prob = make_problem(dimension=d, horizon=0.5)
+    plan = estimator._Engine(prob, params_for(n, n))._peak(n, K, {})
+    assert plan <= bound, (plan, bound)
+    assert 8 * plan <= 6 * 2**20, plan
+
+
+def test_spanning_lanes_keep_the_bits_of_one_reduction(monkeypatch):
+    # at tiles of 7 rows (d = 1), n = M = 4, each lane's 256 top-level
+    # samples are summed along numpy's pairwise tree, as two nodes of 128
+    # gathered from 19 tiles each; at the default tile the lane is one
+    # array.  Values and tallies agree, and the store's high-water mark is
+    # its plan.  The datum exp(10 x) spans many binades, so a sum added in
+    # another order (a node cap of 32, say) changes bits
+    d, K = 1, 3
+    data = dataclasses.replace(builtin_data("cosine_mean", d, kappa=1.0),
+                               eval=lambda x: np.exp(10.0 * x[:, 0]))
+    prob = make_problem(dimension=d, horizon=0.5,
+                        nonlinearity=no_skip_allen_cahn(), data=data)
+    params = params_for(4, 4, r=3.0, seed=5)
+    want = [(r.value, r.tally)
+            for r in estimate_batch(prob, params, 0.4, np.zeros(d), K)]
+    runs = []
+
+    class Audited(estimator._Scratch):
+        def __init__(self, size):
+            super().__init__(size)
+            self.high = 0
+            runs.append(self)
+
+        def take(self, shape, dtype=np.uint64):
+            out = super().take(shape, dtype)
+            self.high = max(self.high, self._used)
+            return out
+
+    monkeypatch.setattr(estimator, "_Scratch", Audited)
+    monkeypatch.setattr(estimator, "_TILE", 7 * (d + estimator._ROW_EXTRA))
+    got = [(r.value, r.tally)
+           for r in estimate_batch(prob, params, 0.4, np.zeros(d), K)]
+    assert got == want
+    [run] = runs
+    assert run.high == run._buf.size, (run.high, run._buf.size)
 
 
 def test_scratch_take_beyond_its_plan_raises():
