@@ -30,6 +30,7 @@ from mlpicard.oracles import (
     max_principle_check,
 )
 from mlpicard.problem import (
+    Nonlinearity,
     Orientation,
     builtin_allen_cahn,
     builtin_constant_data,
@@ -442,3 +443,74 @@ def test_criterion_9_forward_backward_orientations_agree():
     _report(9, "matched orientations agree at K=10^4", gap <= 3.0 * combined,
             f"forward {mean_f:.5f}+-{se_f:.5f}, backward {mean_b:.5f}"
             f"+-{se_b:.5f}, gap {gap / combined:.2f} combined se")
+
+
+# 10. manufactured solution in d = 10 -------------------------------------------------
+#
+# u*(x) = cos(mean(x)) has Laplacian -u*/d, so it solves the forward equation
+# u_t = Lap u + f exactly for the forced f(t, x, u) = u - u^3 + h(x) with
+# h = (1/d - 1) c + c^3, c = cos(mean(x)), from the datum cos(mean(x))
+# (`cosine_mean`, kappa = 1).  The target is u* at every t and x, with no
+# grid: a value checked here reads every smeared point through h, so it
+# checks the d-vector draws, the smear and its variance scale.  The backward
+# twin (`transform_to_backward`) at (0, x) targets u* at x * sqrt(2).
+#
+# Fixed before the first run: d = 10, T = 0.1, x = (0.3, ..., 0.3), forward
+# at t = T with seed 0 and backward at t = 0 with seed 1, n = M = 4, K = 2000
+# on two workers, radius rho_min, and the tolerance |mean - u*| <= 4 se.
+# The level-4 bias is bounded by the Picard error from u^0 = 0,
+# sup|u*| (L T)^4 / 4! = 6.7e-5 with L = 2 = sup |d f / d u| on [-1, 1],
+# about one standard error at this K, so 4 se allows 3 for noise and 1 for
+# bias.  d = 1000 is not checked here (ROADMAP item 1).
+
+
+def manufactured_allen_cahn(d: int) -> Nonlinearity:
+    """f(t, x, u) = u - u^3 + h(x) with h = (1/d - 1) c + c^3, c = cos(mean(x)).
+
+    Coercivity in the package's convention v f(t, x, v) <= c (1 + v^2): as
+    for the builtin, v (v - v^3) <= 1 + v^2, and v h <= H |v| <= (H / 2)
+    (1 + v^2) with H = sup |h|.  On c in [-1, 1], h = c^3 - a c with
+    a = 1 - 1/d peaks in size at c = 1 (1/d) or at c^2 = a / 3 (2a/3 *
+    sqrt(a / 3)), so c = 1 + H / 2.  Lipschitz on [-r, r]:
+    |f(v) - f(w)| <= (1 + v^2 + v w + w^2) |v - w| <= (1 + 3 r^2) |v - w|.
+    """
+    a = 1.0 - 1.0 / d
+    H = max(1.0 / d, 2.0 * a / 3.0 * math.sqrt(a / 3.0))
+
+    def _eval(t, x, u):
+        c = np.cos(np.mean(x, axis=-1))
+        return u - u**3 + (1.0 / d - 1.0) * c + c**3
+
+    return Nonlinearity(
+        eval=_eval,
+        lipschitz_local=lambda r: 1.0 + 3.0 * r * r,
+        coercivity_c=1.0 + H / 2.0,
+        autonomous=False,
+        f_at_zero=None,
+    )
+
+
+def test_criterion_10_manufactured_solution_in_d10_both_orientations():
+    d, T, n, K = 10, 0.1, 4, 2000
+    x = np.full(d, 0.3)
+    forward = make_problem(d, T, nonlinearity=manufactured_allen_cahn(d),
+                           data=builtin_cosine_mean_data(1.0, d))
+    r = rho_min(forward)
+    cases = (("forward", forward, T, 0, math.cos(0.3)),
+             ("backward", transform_to_backward(forward), 0.0, 1,
+              math.cos(0.3 * math.sqrt(2.0))))
+    failures, measured = [], []
+    for name, prob, t, seed, target in cases:
+        params = MlpParams(levels=n, branching=n, truncation_radius=r,
+                           seed=seed)
+        values = np.array([res.value for res in estimate_batch(
+            prob, params, t, x, repetitions=K, worker_count=2)])
+        mean = float(values.mean())
+        se = float(values.std(ddof=1)) / math.sqrt(K)
+        z = (mean - target) / se
+        if not abs(z) <= 4.0:
+            failures.append(f"{name} |z|={abs(z):.2f} > 4")
+        measured.append(f"{name} {mean:.6f}+-{se:.6f} vs {target:.6f} "
+                        f"(z={z:+.2f})")
+    _report(10, "manufactured u* = cos(mean(x)) at d=10, n=M=4", not failures,
+            "; ".join(failures + measured + [f"rho_min={r:.3f}"]))
