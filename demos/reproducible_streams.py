@@ -6,6 +6,8 @@ evaluation order, chunk size, or thread count.  The frozen recipe is
 pinned by golden values shipped with the package.
 """
 
+import importlib.resources
+
 import numpy as np
 
 from mlpicard.estimator import MlpParams, estimate_batch
@@ -14,7 +16,6 @@ from mlpicard.randomness import (
     NodeId,
     StreamKey,
     gaussian_vector,
-    golden_lines,
     uniform01,
 )
 
@@ -32,7 +33,10 @@ def main():
     print("   streams of one correction; they never share draws)")
 
     print("\nfirst golden lines pinning the recipe:")
-    for line in golden_lines()[:4]:
+    golden = importlib.resources.files("mlpicard") / "golden_rng.txt"
+    lines = [line for line in golden.read_text(encoding="utf-8").splitlines()
+             if line.strip() and not line.startswith("#")]
+    for line in lines[:4]:
         print(" ", line)
 
     prob = make_problem(dimension=3, horizon=0.5)

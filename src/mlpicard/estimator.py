@@ -40,38 +40,37 @@ digests, its time and scale, and a child's result), so a tile holds
 node digests of its own pairs, draws their times, takes their standard
 deviations, draws, smears and evaluates their d-vectors, and reduces the
 results to its lanes' sums, which the pass yields to its frame before the
-next tile starts.  So no array of lanes * M^k elements is formed: a frame
-keeps one result per lane, and a run holds at most one tile and one node
-per frame on the deepest path, whatever K and M^n are.  A node is part of
-a lane that spans tiles: such a lane is summed along numpy's own pairwise
-tree (``_PAIRWISE_BLOCK``), split where numpy splits it until a node holds
-at most max(rows, 128) results, each node gathered tile by tile and
-reduced in one call, and sibling nodes added as numpy adds them.  So its
-sum has the bits of one reduction over the pass; summing per-tile partials
-would round differently.  What a pass repeats for every
-tile is paid once per pass: tiles of whole lanes all absorb the sample
-indices 1..m, whose element side (``absorb_words``, m <= rows elements) is
-computed once.  The smear x + sqrt(vs * elapsed) * Z takes the standard
-deviation of each (lane, m) pair; the level-0 data samples of a lane
-share one elapsed time (its outer factor), so a frame takes one square
-root per lane for them.  Results are a pure function of (seed, node
-path, counter): every lane and every row is computed on its own, so
-tiles, chunks and thread counts cannot change a value or a tally.
+next tile starts; the frame drops them before that tile runs.  So no
+array of lanes * M^k elements is formed: a frame keeps one result per
+lane, and a run holds at most one tile and one node per frame on the
+deepest path, whatever K and M^n are.  A node is part of a lane that
+spans tiles: such a lane is summed along numpy's own pairwise tree
+(``_PAIRWISE_BLOCK``), split where numpy splits it until a node holds at
+most max(rows, 128) results, each node gathered tile by tile and reduced
+in one call, and sibling nodes added as numpy adds them.  So its sum has
+the bits of one reduction over the pass; summing per-tile partials would
+round differently.  Every tile absorbs its own node digests with
+``absorb_vec``, the one way a path element is absorbed.  The smear
+x + sqrt(vs * elapsed) * Z takes the standard deviation of each (lane, m)
+pair; the level-0 data samples of a lane share one elapsed time (its
+outer factor), so a frame takes one square root per lane for them.
+Results are a pure function of (seed, node path, counter): every lane and
+every row is computed on its own, so tiles, chunks and thread counts
+cannot change a value or a tally.
 
 The arrays the engine allocates itself (each frame's results, the node
 digests, the uniforms, which become the sampled times in place, the
-standard deviations, each tile of points and the nodes, but
-not a pass's element words) come from one scratch store per run, that
-is per chunk and so per worker thread; nothing is shared across
-threads.  The store is one buffer, sized before the run to the most
-those arrays hold at once, handed out and taken back in stack order as
-the recursion enters and leaves a frame, a pass or a tile, and released
-when the run returns.  A frame's results are its first take and stay in
-the store for its caller, which reads them and releases them with its
-tile.  So a frame reuses the bytes of its predecessor instead of asking
-the allocator again, which at d = 1 used to trim and re-fault the same
-pages on every call, and the store never holds more than the run's
-largest live set.  What a data or reaction callable
+standard deviations, each tile of points and the nodes) come from one
+scratch store per run, that is per chunk and so per worker thread;
+nothing is shared across threads.  The store is one buffer, sized before
+the run to the most those arrays hold at once, handed out and taken back
+in stack order as the recursion enters and leaves a frame, a pass or a
+tile, and released when the run returns.  A frame's results are its
+first take and stay in the store for its caller, which reads them and
+releases them with its tile.  So a frame reuses the bytes of its
+predecessor instead of asking the allocator again, which at d = 1 used to
+trim and re-fault the same pages on every call, and the store never holds
+more than the run's largest live set.  What a data or reaction callable
 returns is reduced before its tile's takes are released, so a callable
 may return a view of its input.
 
@@ -90,8 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import Orientation, PdeProblem, eval_truncated_f
-from .randomness import (absorb_vec, absorb_words, gaussians_vec, path_digest,
-                         uniforms_vec)
+from .randomness import absorb_vec, gaussians_vec, path_digest, uniforms_vec
 
 # repetitions per chunk, the unit of parallel work: chunk * M^n * d stays
 # near this many elements, unless that leaves a worker without a chunk.  It
@@ -257,11 +255,10 @@ class _Engine:
         # multiplies the f term and every correction; also the data elapsed
         return t if self.forward else self.horizon - t
 
-    def _absorb(self, digests, depth, elems, words=None):
-        # digests (B, 1) and elems a scalar or an (m,) array; words are
-        # elems' absorb_words when the pass computed them once for its tiles
+    def _absorb(self, digests, depth, elems):
+        # digests (B, 1) and elems a scalar or an (m,) array
         out = self.scratch.take((digests.shape[0], np.size(elems)))
-        return absorb_vec(digests, depth, elems, out=out, words=words)
+        return absorb_vec(digests, depth, elems, out=out)
 
     def _sample_times(self, t, digests):
         # R uniform on [0, t] forward (t * u), on [t, T] backward
@@ -300,10 +297,10 @@ class _Engine:
         z += x[:, None, :]
         return z.reshape(-1, self.d)
 
-    def _draw(self, t, x, parents, lane, elems, words, depth):
+    def _draw(self, t, x, parents, lane, elems, depth):
         # the (R, X) draws of one tile's (lane, m) pairs under the lanes'
         # parent digests: the pairs' digests, the times R (flat) and points X
-        dig = self._absorb(parents[lane], depth, elems, words)
+        dig = self._absorb(parents[lane], depth, elems)
         r = self._sample_times(t[lane, None], dig)
         pts = self._points(x[lane], self._scale(t[lane, None], r), dig,
                            self.slots1)
@@ -320,12 +317,12 @@ class _Engine:
     def _pass(self, lanes, m, depth, sign, sample):
         # yields (lane, sums) for a slice of the lanes and their sums over
         # the pass, each reduced as if the pass were one array.
-        # sample(lane, elems, words) gives the results of one tile's (lane,
-        # m) pairs, whose digests absorb the sample indices elems = sign *
+        # sample(lane, elems) gives the results of one tile's (lane, m)
+        # pairs, whose digests absorb the sample indices elems = sign *
         # (j.start + 1 .. j.stop) at depth; the tile's takes are released
         # once the caller has used the sums.  Tiles of whole lanes all
-        # absorb sign * (1..m), so their words (absorb_words) are computed
-        # once per pass; a lane that spans tiles is summed by _span_sum
+        # absorb sign * (1..m); a lane that spans tiles is summed by
+        # _span_sum
         rows = self._rows()
         if m > rows:
             for b in range(lanes):
@@ -333,13 +330,13 @@ class _Engine:
             return
         scratch = self.scratch
         elems = sign * _samples(slice(0, m))
-        words = absorb_words(depth, elems)
         step = rows // m
         for b in range(0, lanes, step):
             lane = slice(b, min(b + step, lanes))
             tile = scratch.mark()
-            values = sample(lane, elems, words)
-            yield lane, np.add.reduce(values.reshape(-1, m), axis=1)
+            # no name holds the tile's results once they are reduced
+            yield lane, np.add.reduce(sample(lane, elems).reshape(-1, m),
+                                      axis=1)
             scratch.release(tile)
 
     def _span_sum(self, b, lo, hi, sign, sample):
@@ -359,7 +356,7 @@ class _Engine:
         for i in range(lo, hi, rows):
             j = slice(i, min(i + rows, hi))
             node[i - lo:j.stop - lo] = sample(slice(b, b + 1),
-                                              sign * _samples(j), None)
+                                              sign * _samples(j))
             scratch.release(tile)
         total = np.add.reduce(node)
         scratch.release(start)
@@ -436,8 +433,8 @@ class _Engine:
         np.sqrt(total, out=total)
         dig_zero = self._absorb(digests[:, None], depth + 1, 0)
 
-        def data_sample(lane, elems, words):
-            dig = self._absorb(dig_zero[lane], depth + 2, elems, words)
+        def data_sample(lane, elems):
+            dig = self._absorb(dig_zero[lane], depth + 2, elems)
             pts = self._points(x[lane], total[lane, None], dig,
                                self.gauss_slots)
             tally.data_evals += len(pts)
@@ -445,20 +442,21 @@ class _Engine:
 
         for lane, sums in self._pass(B, Mn, depth + 2, -1, data_sample):
             np.divide(sums, Mn, out=total[lane])
+            del sums  # not kept through the next tile's recursion
 
         # level 0: f samples at nodes (theta, 0, m); skipped when f(.,.,0)
         # is a known constant (the term is then deterministic)
         if self.skip_f0:
             total += self._outer_coef(t) * nl.f_at_zero
         else:
-            def f_sample(lane, elems, words):
-                _, r, pts = self._draw(t, x, dig_zero, lane, elems, words,
-                                       depth + 2)
+            def f_sample(lane, elems):
+                _, r, pts = self._draw(t, x, dig_zero, lane, elems, depth + 2)
                 tally.f_evals += len(pts)
                 return nl.eval(r, pts, np.zeros(len(pts)))
 
             for lane, sums in self._pass(B, Mn, depth + 2, 1, f_sample):
                 total[lane] += self._outer_coef(t[lane]) * (sums / Mn)
+                del sums
         scratch.release(frame)
 
         # corrections k = 1..n-1: (R, X) drawn once at (theta, k, m) and fed
@@ -474,18 +472,18 @@ class _Engine:
                 self._correction, k, t, x, dig_k, dig_mk, depth + 2)
             for lane, sums in self._pass(B, Mm, depth + 2, 1, correct):
                 total[lane] += (self._outer_coef(t[lane]) / Mm) * sums
+                del sums
             scratch.release(frame)
 
         return total
 
-    def _correction(self, k, t, x, dig_k, dig_mk, depth, lane, elems, words):
+    def _correction(self, k, t, x, dig_k, dig_mk, depth, lane, elems):
         # f_r(U_k) - f_r(U_{k-1}) at one tile of the correction draws (R, X)
         # of nodes (theta, k, m) and their twins (theta, -k, m)
-        dig_hi, r, pts = self._draw(t, x, dig_k, lane, elems, words, depth)
+        dig_hi, r, pts = self._draw(t, x, dig_k, lane, elems, depth)
         dig_lo = None
         if dig_mk is not None:
-            dig_lo = self._absorb(dig_mk[lane], depth, elems,
-                                  words).reshape(-1)
+            dig_lo = self._absorb(dig_mk[lane], depth, elems).reshape(-1)
         sub_hi = self._evaluate(k, r, pts, dig_hi.reshape(-1), depth)
         sub_lo = self._evaluate(k - 1, r, pts, dig_lo, depth)
         rr = self.params.truncation_radius

@@ -149,6 +149,10 @@ def dimension_scaling(
         raise ValueError("d_list needs at least two dimensions")
     if any(d < 1 for d in d_list):
         raise ValueError(f"dimensions must be >= 1, got {list(d_list)}")
+    repeated = sorted({d for d in d_list if list(d_list).count(d) > 1})
+    if repeated:
+        raise ValueError(f"dimensions must differ, got {repeated} more than "
+                         f"once in {list(d_list)}")
     rows = []
     for d in d_list:
         problem = problem_template(d)

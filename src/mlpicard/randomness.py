@@ -33,13 +33,14 @@ Floating-point derivation from the raw 64-bit word ``w``:
 The gaussian argument lies strictly inside (0, 1), so ``ndtri`` is finite.
 Gaussian vectors of length d consume exactly d consecutive counter slots.
 
-The vectorized kernels evaluate this recipe in place: each mixes the array
-it returns with ``out=`` passes, walking it in blocks of ``_BLOCK`` elements
-with one block of scratch, so no full-size temporary exists and each pass
-after the first runs in cache; every value is the same as the unblocked
-recipe, bit for bit.  Each kernel also takes ``out=``, a C-contiguous array
-of the broadcast shape that it fills and returns, so a caller can reuse its
-own buffers.
+The vectorized kernels evaluate this recipe in place, through one blocked
+loop: each forms its words in the array it returns and walks it in blocks
+of ``_BLOCK`` elements with one block of scratch, mixing each block with
+``out=`` passes and, for uniforms and gaussians, converting it while it is
+still in cache.  So no full-size temporary exists, and every value is the
+same as the unblocked recipe, bit for bit.  Each kernel also takes
+``out=``, a C-contiguous array of the broadcast shape that it fills and
+returns, so a caller can reuse its own buffers.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ _NP_M1 = np.uint64(_MIX1)
 _NP_M2 = np.uint64(_MIX2)
 _NP_S11, _NP_S27, _NP_S30, _NP_S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
-# elements per block of the gaussian kernel: its scratch stays in L2
+# elements per block of the kernels: a block and its scratch stay in L2
 _BLOCK = 1 << 15
 
 
@@ -119,23 +120,36 @@ def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def _flat(words: np.ndarray) -> np.ndarray:
-    # words as one flat view; the kernels mix in place, so a copy would
-    # lose the result (their own outputs are C-contiguous; an out= must be)
+def _mix64_blocks(words: np.ndarray, step=None) -> np.ndarray:
+    # mix64 over words in place, _BLOCK elements at a time with one block
+    # of scratch; step, if given, converts each mixed block in place while
+    # it is still in cache.  The kernels mix in place, so a copy would lose
+    # the result (their own outputs are C-contiguous; an out= must be)
     if not words.flags.c_contiguous:
         raise ValueError("kernel output must be C-contiguous")
-    return words.reshape(-1)
-
-
-def _mix64_blocks(words: np.ndarray) -> np.ndarray:
-    # mix64 over words in place, _BLOCK elements at a time with one block
-    # of scratch
-    flat = _flat(words)
+    flat = words.reshape(-1)
     tmp = np.empty(min(_BLOCK, flat.size), dtype=np.uint64)
     for lo in range(0, flat.size, _BLOCK):
         w = flat[lo:lo + _BLOCK]
         _mix64_into(w, tmp[:w.size])
+        if step is not None:
+            step(w)
     return words
+
+
+def _to_uniforms(w: np.ndarray) -> None:
+    # (w >> 11) * 2**-53, written over w's own bytes
+    w >>= _NP_S11
+    np.multiply(w, _U53_SCALE, out=w.view(np.float64))
+
+
+def _to_gaussians(w: np.ndarray) -> None:
+    # ndtri(((w >> 11) + 0.5) * 2**-53), written over w's own bytes
+    w >>= _NP_S11
+    g = w.view(np.float64)
+    np.add(w, 0.5, out=g)
+    g *= _U53_SCALE
+    ndtri(g, out=g)
 
 
 def _zigzag_vec(v: np.ndarray) -> np.ndarray:
@@ -146,77 +160,53 @@ def _zigzag_vec(v: np.ndarray) -> np.ndarray:
     return z.astype(np.uint64)
 
 
-def _slot_offsets(counters) -> np.ndarray:
-    # (counter + 1) * phi, the per-slot offset added to each digest
-    c = np.asarray(counters, dtype=np.uint64)
-    return np.multiply(np.add(c, np.uint64(1)), _NP_PHI)
-
-
-def absorb_words(depth: int, elems) -> np.ndarray:
-    """The element side of absorbing ``elems`` at 1-based ``depth``:
-    mix64(zigzag(v) + depth * phi) for each v, which no digest enters."""
-    offset = np.uint64((depth * _PHI64) & _MASK64)
-    return _mix64_blocks(
-        np.asarray(np.add(_zigzag_vec(elems), offset, order="C")))
-
-
 def absorb_vec(digests: np.ndarray, depth: int, elems,
-               out: np.ndarray | None = None,
-               words: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray | None = None) -> np.ndarray:
     """Extend digests (any shape) by one path element at 1-based ``depth``.
 
     ``elems`` broadcasts against ``digests``; both scalars and arrays of
     per-lane indices are accepted.  ``out`` (uint64) receives the result.
-    ``words``, if given, is ``absorb_words(depth, elems)``, so a caller
-    that absorbs the same elements under many digests computes it once.
     """
-    if words is None:
-        words = absorb_words(depth, elems)
+    offset = np.uint64((depth * _PHI64) & _MASK64)
+    words = _mix64_blocks(
+        np.asarray(np.add(_zigzag_vec(elems), offset, order="C")))
     return _mix64_blocks(
         np.asarray(np.bitwise_xor(digests, words, order="C", out=out)))
+
+
+def _slot_words(digests, counters, out, step=None) -> np.ndarray:
+    # the words at the given counter slots, formed in out (uint64) as
+    # digest + (counter + 1) * phi, mixed and converted by step in place
+    c = np.asarray(counters, dtype=np.uint64)
+    offsets = np.multiply(np.add(c, np.uint64(1)), _NP_PHI)
+    return _mix64_blocks(
+        np.asarray(np.add(digests, offsets, order="C", out=out)), step)
 
 
 def raw_vec(digests: np.ndarray, counters,
             out: np.ndarray | None = None) -> np.ndarray:
     """Raw 64-bit words at the given counter slots (broadcasting)."""
-    return _mix64_blocks(
-        np.asarray(np.add(digests, _slot_offsets(counters), order="C",
-                          out=out)))
+    return _slot_words(digests, counters, out)
 
 
 def uniforms_vec(digests: np.ndarray, counters,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Uniforms in [0, 1) at the given counter slots; ``out`` is float64."""
-    w = raw_vec(digests, counters,
-                out=None if out is None else out.view(np.uint64))
-    w >>= _NP_S11
-    out = w.view(np.float64)
-    np.multiply(w, _U53_SCALE, out=out)
-    return out
+    return _slot_words(digests, counters,
+                       None if out is None else out.view(np.uint64),
+                       _to_uniforms).view(np.float64)
 
 
 def gaussians_vec(digests: np.ndarray, counters,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Standard gaussians at the given counter slots (broadcasting).
 
-    The words are formed in the float64 output itself, then converted block
-    by block, so one full-size array exists and each pass stays in cache.
-    ``out`` (float64) receives the result.
+    The words are formed in the float64 output itself, so one full-size
+    array exists.  ``out`` (float64) receives the result.
     """
-    words = np.asarray(np.add(
-        digests, _slot_offsets(counters), order="C",
-        out=None if out is None else out.view(np.uint64)))
-    flat = _flat(words)
-    tmp = np.empty(min(_BLOCK, flat.size), dtype=np.uint64)
-    for lo in range(0, flat.size, _BLOCK):
-        w = flat[lo:lo + _BLOCK]
-        _mix64_into(w, tmp[:w.size])
-        w >>= _NP_S11
-        g = w.view(np.float64)
-        np.add(w, 0.5, out=g)
-        g *= _U53_SCALE
-        ndtri(g, out=g)
-    return words.view(np.float64)
+    return _slot_words(digests, counters,
+                       None if out is None else out.view(np.uint64),
+                       _to_gaussians).view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -273,34 +263,12 @@ def gaussian_vector(key: StreamKey, d: int) -> np.ndarray:
     return gaussians_vec(digest, counters)
 
 
-# golden values: the frozen recipe, pinned as text
-
-
-def golden_lines() -> list[str]:
-    """Render '(seed, path, counter) -> raw word' lines for pinning."""
-    out = []
-    for seed, path, counter in GOLDEN_ENTRIES:
-        w = _raw(path_digest(seed, path), counter)
-        out.append(f"{seed} {NodeId(path).encode()} {counter} {w:016x}")
-    return out
-
-
-GOLDEN_ENTRIES = [
-    (0, (), 0),
-    (0, (), 1),
-    (1, (), 0),
-    (0, (0,), 0),
-    (0, (1,), 0),
-    (0, (-1,), 0),
-    (42, (0, -1), 3),
-    (42, (0, 1), 3),
-    (123456789, (2, 3, -4, 5), 7),
-    (2**64 - 1, (1, -2, 3), 2),
-]
-
-
 def verify_golden(lines) -> list[str]:
-    """Recompute every golden line; return mismatch descriptions (empty = ok)."""
+    """Recompute every golden line; return mismatch descriptions (empty = ok).
+
+    Each word is recomputed twice: by the scalar recipe and by ``raw_vec``,
+    whose blocked loop every kernel the estimator draws through shares.
+    """
     problems = []
     seen = 0
     for line in lines:
@@ -316,12 +284,15 @@ def verify_golden(lines) -> list[str]:
         seed = int(seed_s)
         node = NodeId.decode(path_s)
         counter = int(counter_s)
-        got = _raw(path_digest(seed, node.path), counter)
-        if f"{got:016x}" != hex_s:
-            problems.append(
-                f"golden mismatch at seed={seed} path={path_s} counter={counter}: "
-                f"expected {hex_s}, got {got:016x}"
-            )
+        digest = path_digest(seed, node.path)
+        kernel = int(raw_vec(np.uint64(digest), counter))
+        for source, got in (("recipe", _raw(digest, counter)),
+                            ("raw_vec", kernel)):
+            if f"{got:016x}" != hex_s:
+                problems.append(
+                    f"golden mismatch at seed={seed} path={path_s} "
+                    f"counter={counter}: expected {hex_s}, got {got:016x} "
+                    f"from {source}")
     if seen == 0:
         problems.append("golden file contained no data lines")
     return problems

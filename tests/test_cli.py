@@ -209,6 +209,18 @@ def test_degenerate_fd_grid_exits_2(tmp_path, capsys, text):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("d_list", ["5,5", "5,6,5"])
+def test_repeated_dimensions_exit_2_before_any_run(tmp_path, capsys, d_list):
+    cfg = tmp_path / "repeated.ini"
+    out_path = tmp_path / "scaling.csv"
+    cfg.write_text(f"[experiment]\nd_list = {d_list}\n", encoding="utf-8")
+    code, out, err = run(capsys, "scale", "--config", str(cfg),
+                         "--out", str(out_path))
+    assert code == 2
+    assert "config error" in err and "[5] more than once" in err
+    assert not out_path.exists() and "rows" not in out
+
+
 def test_levels_past_int64_sample_indices_exit_2(tmp_path, capsys):
     # 30 levels on the diagonal need sample indices up to 30^30 > 2^63
     cfg = tmp_path / "huge.ini"

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -451,6 +452,36 @@ def test_plan_bound_does_not_depend_on_dimension():
         prob = make_problem(dimension=d, horizon=0.5, nonlinearity=nl)
         plan = estimator._Engine(prob, params_for(n, n))._peak(n, K, {})
         assert plan <= _plan_bound(n, n, K), (d, n, K, plan)
+
+
+def test_each_pass_drops_its_sums_before_the_next_tile(monkeypatch):
+    # every tile's sample call finds each earlier tile's results and
+    # whole-lane sums freed, so no frame keeps a stale array on the heap
+    # through the next tile's recursion
+    original = estimator._Engine._pass
+    earlier = []
+
+    def watched(self, lanes, m, depth, sign, sample):
+        def checked(*args):
+            alive = sum(ref() is not None for ref in earlier)
+            assert not alive, f"{alive} earlier arrays still alive"
+            values = sample(*args)
+            earlier.append(weakref.ref(values))
+            return values
+
+        for item in original(self, lanes, m, depth, sign, checked):
+            if isinstance(item[1], np.ndarray):
+                earlier.append(weakref.ref(item[1]))
+            yield item
+            del item
+
+    monkeypatch.setattr(estimator._Engine, "_pass", watched)
+    # 7 rows per tile: passes of M^k <= 3 samples run two or more lanes per
+    # tile and take several tiles
+    monkeypatch.setattr(estimator, "_TILE", 7 * (1 + estimator._ROW_EXTRA))
+    prob = forward_problem(d=1, data=builtin_data("cosine_mean", 1, kappa=1.0))
+    estimate_batch(prob, params_for(3, 3), 0.4, np.zeros(1), 20)
+    assert len(earlier) >= 10
 
 
 @pytest.mark.parametrize("tile", [None, 7])

@@ -183,6 +183,10 @@ def test_dimension_scaling_validation():
         dimension_scaling(template, [4], n=2)
     with pytest.raises(ValueError):
         dimension_scaling(template, [0, 4], n=2)
+    # the affine check divides by the first two dimensions' difference
+    for d_list in ([5, 5], [5, 6, 5]):
+        with pytest.raises(ValueError, match="dimensions must differ"):
+            dimension_scaling(template, d_list, n=2)
 
 
 def test_epsilon_sweep_shape_and_monotone_levels():

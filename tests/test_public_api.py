@@ -1,6 +1,7 @@
 """Dead-API guard: every package definition has a caller outside the tests."""
 
 import ast
+import math
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -67,6 +68,99 @@ def test_every_exported_name_is_used_outside_tests():
     unused = [label for text in _sources("src")
               for label, name in defined_names(text) if name not in used]
     assert not unused, f"defined but used only by tests: {unused}"
+
+
+def defaulted_params(text):
+    # (label, parameter, positions) of each defaulted parameter of a public
+    # module-level function or a public method: positions is how many
+    # positional arguments a call must pass to reach it (None if it is
+    # keyword-only; a method's self is not counted)
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from _defaulted(node, node.name, 0)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    static = any(isinstance(dec, ast.Name)
+                                 and dec.id == "staticmethod"
+                                 for dec in item.decorator_list)
+                    yield from _defaulted(item, f"{node.name}.{item.name}",
+                                          0 if static else 1)
+
+
+def _defaulted(fn, label, bound):
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield label, arg.arg, i + 1 - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield label, arg.arg, None
+
+
+def passed_params(text):
+    # (keyword names, {callable name: most positional arguments}) over the
+    # calls in text; a starred argument counts as any number of positional
+    # arguments and a ** argument as every keyword
+    keywords, positions = set(), {}
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.Call):
+            continue
+        keywords.update(kw.arg or "**" for kw in node.keywords)
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
+        count = (math.inf if any(isinstance(arg, ast.Starred)
+                                 for arg in node.args) else len(node.args))
+        positions[name] = max(positions.get(name, 0), count)
+    return keywords, positions
+
+
+def _passes(passed, label, param, positions):
+    # a call passes param when it names it as a keyword, or when it passes
+    # the callable of label's name at least positions positional arguments
+    keywords, most = passed
+    name = label.rsplit(".", 1)[-1]
+    return (param in keywords or "**" in keywords
+            or (positions is not None and most.get(name, 0) >= positions))
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    # a default that no package, demo or benchmark call overrides is an
+    # option only the tests use
+    keywords, most = set(), {}
+    for text in _sources("src", "demos", "bench"):
+        names, positions = passed_params(text)
+        keywords |= names
+        for name, count in positions.items():
+            most[name] = max(most.get(name, 0), count)
+    unused = [f"{label}({param}=)" for text in _sources("src")
+              for label, param, positions in defaulted_params(text)
+              if not _passes((keywords, most), label, param, positions)]
+    assert not unused, f"defaulted parameters only tests pass: {unused}"
+
+
+def test_defaulted_parameters_are_passed_by_keyword_or_position():
+    text = ("def alpha(x, y=1, *, z=2):\n"
+            "    pass\n"
+            "class Beta:\n"
+            "    def gamma(self, u, v=0):\n"
+            "        pass\n"
+            "    @staticmethod\n"
+            "    def delta(w=0):\n"
+            "        pass\n")
+    assert list(defaulted_params(text)) == [
+        ("alpha", "y", 2), ("alpha", "z", None), ("Beta.gamma", "v", 2),
+        ("Beta.delta", "w", 1)]
+    passed = passed_params("alpha(1, z=3)\nb.gamma(1, 2)\nf(*ws)\n")
+    assert not _passes(passed, "alpha", "y", 2)
+    assert _passes(passed, "alpha", "z", None)
+    assert _passes(passed, "Beta.gamma", "v", 2)
+    assert not _passes(passed, "Beta.delta", "w", 1)
+    assert _passes(passed_params("delta(*ws)\n"), "Beta.delta", "w", 1)
+    assert _passes(passed_params("g(**kw)\n"), "alpha", "y", 2)
 
 
 def test_package_init_is_its_docstring_alone():

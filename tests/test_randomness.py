@@ -10,13 +10,11 @@ from scipy.special import ndtri
 
 from mlpicard.randomness import (
     _BLOCK,
-    GOLDEN_ENTRIES,
     NodeId,
     StreamKey,
     absorb_vec,
     gaussian_vector,
     gaussians_vec,
-    golden_lines,
     path_digest,
     raw_vec,
     raw_word,
@@ -60,6 +58,13 @@ GAUSSIAN_MIRROR = [
 ]
 
 
+def _golden_file_lines():
+    # the data lines of the packaged golden file, the one list of its keys
+    path = importlib.resources.files("mlpicard") / "golden_rng.txt"
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip() and not line.startswith("#")]
+
+
 def test_golden_file_matches_generator():
     path = importlib.resources.files("mlpicard") / "golden_rng.txt"
     assert verify_golden(path.read_text(encoding="utf-8").splitlines()) == []
@@ -72,17 +77,13 @@ def test_golden_hardcoded_mirror():
 
 
 def test_gaussian_hardcoded_mirror():
-    assert [entry[:3] for entry in GAUSSIAN_MIRROR] == GOLDEN_ENTRIES
+    keys = [(int(seed), NodeId.decode(path).path, int(counter))
+            for seed, path, counter, _ in map(str.split, _golden_file_lines())]
+    assert [entry[:3] for entry in GAUSSIAN_MIRROR] == keys
     for seed, node_path, counter, expected in GAUSSIAN_MIRROR:
         key = StreamKey(seed=seed, node=NodeId(node_path), counter=counter)
         got = tuple(float(v).hex() for v in gaussian_vector(key, 3))
         assert got == expected, (seed, node_path, counter)
-
-
-def test_golden_lines_cover_all_entries():
-    lines = golden_lines()
-    assert len(lines) == len(GOLDEN_ENTRIES) == len(GOLDEN_MIRROR)
-    assert verify_golden(lines) == []
 
 
 def test_same_key_same_outputs():
@@ -269,15 +270,16 @@ def test_brownian_point_coordinates_uncorrelated():
 
 
 def test_verify_golden_flags_tampering():
-    lines = golden_lines()
+    lines = _golden_file_lines()
     tampered = lines[:-1] + [lines[-1][:-1] + ("0" if lines[-1][-1] != "0" else "1")]
     assert verify_golden(tampered) != []
     assert verify_golden(["# only a comment"]) != []
 
 
 def test_blocked_words_and_digests_match_scalar_recipe_and_fill_out():
-    # absorb_vec and raw_vec mix in _BLOCK-sized blocks: across block edges
-    # they must give the scalar recipe's words, and every kernel given out=
+    # absorb_vec, raw_vec and uniforms_vec mix and convert in _BLOCK-sized
+    # blocks: across block edges they must give the scalar recipe's words
+    # and uniforms, and every kernel given out=
     # must write the same bits into the caller's array and return it
     seed, n = 6, 3 * _BLOCK + 7
     root = np.uint64(path_digest(seed, ()))
@@ -285,11 +287,14 @@ def test_blocked_words_and_digests_match_scalar_recipe_and_fill_out():
     counters = np.arange(n, dtype=np.uint64)
     lanes = absorb_vec(root, 1, elems)
     words = raw_vec(root, counters)
+    uniforms = uniforms_vec(root, counters)
     edges = [e * _BLOCK + off for e in range(1, 4) for off in (-1, 0)]
     sample = np.random.default_rng(1).integers(0, n, 100)
     for i in [0, n - 1, *edges, *sample.tolist()]:
         assert int(lanes[i]) == path_digest(seed, (int(elems[i]),)), i
         assert int(words[i]) == raw_word(StreamKey(seed, NodeId(()), i)), i
+        assert (float(uniforms[i]).hex()
+                == uniform01(StreamKey(seed, NodeId(()), i)).hex()), i
     for kernel, args in ((absorb_vec, (lanes[:, None], 2, elems[:3])),
                          (raw_vec, (root, counters)),
                          (uniforms_vec, (lanes[:, None], np.arange(2))),
