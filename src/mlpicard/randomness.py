@@ -278,14 +278,13 @@ def verify_golden(lines) -> list[str]:
         seen += 1
         try:
             seed_s, path_s, counter_s, hex_s = line.split()
-        except ValueError:
+            seed, counter = int(seed_s), int(counter_s)
+            digest = path_digest(seed, NodeId.decode(path_s).path)
+            # counters are uint64 slots: one out of range is malformed
+            kernel = int(raw_vec(np.uint64(digest), np.uint64(counter)))
+        except (ValueError, OverflowError):
             problems.append(f"malformed golden line: {line!r}")
             continue
-        seed = int(seed_s)
-        node = NodeId.decode(path_s)
-        counter = int(counter_s)
-        digest = path_digest(seed, node.path)
-        kernel = int(raw_vec(np.uint64(digest), counter))
         for source, got in (("recipe", _raw(digest, counter)),
                             ("raw_vec", kernel)):
             if f"{got:016x}" != hex_s:

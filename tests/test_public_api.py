@@ -1,4 +1,5 @@
-"""Dead-API guard: every package definition has a caller outside the tests."""
+"""Dead-API guard: every package definition has a caller outside the tests,
+and every defaulted parameter a call there that passes it."""
 
 import ast
 import math
@@ -100,12 +101,13 @@ def _defaulted(fn, label, bound):
             yield label, arg.arg, None
 
 
-def passed_params(text):
+def passed_params(texts):
     # (keyword names, {callable name: most positional arguments}) over the
-    # calls in text; a starred argument counts as any number of positional
+    # calls in texts; a starred argument counts as any number of positional
     # arguments and a ** argument as every keyword
     keywords, positions = set(), {}
-    for node in ast.walk(ast.parse(text)):
+    nodes = (node for text in texts for node in ast.walk(ast.parse(text)))
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         keywords.update(kw.arg or "**" for kw in node.keywords)
@@ -130,15 +132,10 @@ def _passes(passed, label, param, positions):
 def test_every_defaulted_parameter_is_passed_outside_tests():
     # a default that no package, demo or benchmark call overrides is an
     # option only the tests use
-    keywords, most = set(), {}
-    for text in _sources("src", "demos", "bench"):
-        names, positions = passed_params(text)
-        keywords |= names
-        for name, count in positions.items():
-            most[name] = max(most.get(name, 0), count)
+    passed = passed_params(_sources("src", "demos", "bench"))
     unused = [f"{label}({param}=)" for text in _sources("src")
               for label, param, positions in defaulted_params(text)
-              if not _passes((keywords, most), label, param, positions)]
+              if not _passes(passed, label, param, positions)]
     assert not unused, f"defaulted parameters only tests pass: {unused}"
 
 
@@ -154,13 +151,13 @@ def test_defaulted_parameters_are_passed_by_keyword_or_position():
     assert list(defaulted_params(text)) == [
         ("alpha", "y", 2), ("alpha", "z", None), ("Beta.gamma", "v", 2),
         ("Beta.delta", "w", 1)]
-    passed = passed_params("alpha(1, z=3)\nb.gamma(1, 2)\nf(*ws)\n")
+    passed = passed_params(["alpha(1, z=3)\nb.gamma(1, 2)\n", "f(*ws)\n"])
     assert not _passes(passed, "alpha", "y", 2)
     assert _passes(passed, "alpha", "z", None)
     assert _passes(passed, "Beta.gamma", "v", 2)
     assert not _passes(passed, "Beta.delta", "w", 1)
-    assert _passes(passed_params("delta(*ws)\n"), "Beta.delta", "w", 1)
-    assert _passes(passed_params("g(**kw)\n"), "alpha", "y", 2)
+    assert _passes(passed_params(["delta(*ws)"]), "Beta.delta", "w", 1)
+    assert _passes(passed_params(["g(**kw)"]), "alpha", "y", 2)
 
 
 def test_package_init_is_its_docstring_alone():

@@ -274,6 +274,25 @@ def test_verify_golden_flags_tampering():
     tampered = lines[:-1] + [lines[-1][:-1] + ("0" if lines[-1][-1] != "0" else "1")]
     assert verify_golden(tampered) != []
     assert verify_golden(["# only a comment"]) != []
+    for counter in ("-1", str(2**64), "x"):
+        assert verify_golden([f"0 - {counter} {'0' * 16}"]) == [
+            f"malformed golden line: '0 - {counter} {'0' * 16}'"]
+
+
+def test_verify_golden_checks_the_blocked_kernel(monkeypatch):
+    # the scalar recipe is untouched, so only raw_vec's words can mismatch
+    from mlpicard import randomness
+
+    mix = randomness._mix64_into
+
+    def flipped(z, tmp):
+        mix(z, tmp)
+        z ^= np.uint64(1)
+
+    monkeypatch.setattr(randomness, "_mix64_into", flipped)
+    problems = verify_golden(_golden_file_lines())
+    assert len(problems) == len(GOLDEN_MIRROR)
+    assert all(p.endswith("from raw_vec") for p in problems)
 
 
 def test_blocked_words_and_digests_match_scalar_recipe_and_fill_out():
