@@ -1,10 +1,10 @@
 """Accuracy-to-level rule and the near-linear cost-in-dimension sweep.
 
-select_levels(eps) returns the least diagonal depth n = M whose error
-envelope stays below eps from there on.  Feeding its output into the
-cumulative cost and scaling by eps^(2+delta)/d flattens the table if the
-cost law C = O(d eps^-(2+delta)) holds: the scaled column varies by a
-bounded factor while raw cost spans orders of magnitude.  Constants here
+level_bounds(consts).select(eps) returns the least diagonal depth n = M
+whose error envelope stays below eps from there on.  Feeding its output
+into the cumulative cost and scaling by eps^(2+delta)/d flattens the table
+if the cost law C = O(d eps^-(2+delta)) holds: the scaled column varies by
+a bounded factor while raw cost spans orders of magnitude.  Constants here
 are the flat-Lipschitz surrogate, whose diagonal envelope e^(m/2) m^(-m/2)
 settles quickly; writes sweep.csv.
 """
@@ -12,7 +12,7 @@ settles quickly; writes sweep.csv.
 from mlpicard.bounds import (
     cumulative_cost,
     error_bound,
-    select_levels,
+    level_bounds,
     surrogate_constants,
 )
 from mlpicard.experiments import SweepRow, epsilon_sweep, write_rows
@@ -26,9 +26,10 @@ def main():
         print(f"  n = M = {m:>2}: bound = {error_bound(consts, m, m, 1.0):.3e}")
 
     eps_grid = [2.0 ** -k for k in range(1, 7)]
+    table = level_bounds(consts)
     print(f"\n{'eps':>10} {'N(eps)':>7} {'cost at d=10':>13}")
     for eps in eps_grid:
-        n = select_levels(eps, consts)
+        n = table.select(eps)
         print(f"{eps:>10.6f} {n:>7} {cumulative_cost(10, n):>13}")
 
     delta = 1.0

@@ -12,22 +12,15 @@ import numpy as np
 
 from mlpicard.estimator import MlpParams, estimate_batch
 from mlpicard.problem import make_problem
-from mlpicard.randomness import (
-    NodeId,
-    StreamKey,
-    gaussian_vector,
-    uniform01,
-)
+from mlpicard.randomness import gaussian_vector, uniform01
 
 
 def main():
-    root = NodeId((4,))
     print("node-addressed draws (seed 0):")
-    for node in (root, root.child(0, 1), root.child(0, -1),
-                 root.child(2, 1)):
-        key = StreamKey(seed=0, node=node, counter=0)
-        z = gaussian_vector(StreamKey(seed=0, node=node, counter=1), 2)
-        print(f"  node {str(node.path):>14}: u = {uniform01(key):.6f}, "
+    # a child's path extends its parent's by (k, m)
+    for path in ((4,), (4, 0, 1), (4, 0, -1), (4, 2, 1)):
+        z = gaussian_vector(0, path, 1, 2)
+        print(f"  node {str(path):>14}: u = {uniform01(0, path, 0):.6f}, "
               f"z = ({z[0]:+.4f}, {z[1]:+.4f})")
     print("  (sign of the child index separates the minuend and subtrahend")
     print("   streams of one correction; they never share draws)")

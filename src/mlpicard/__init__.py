@@ -19,18 +19,19 @@ its module; importing the package itself loads nothing else.
     nonlinearities and data (`builtin_nonlinearity`, `builtin_data`,
     addressable by name) and the truncated reaction `eval_truncated_f`.
   * `mlpicard.bounds`: `error_bound`, `cost_recursion`, `cost_bound`,
-    `select_levels` (accuracy-driven level selection, over the bounds
-    `level_bounds` computes once per sweep) and `rho_min`, the
-    solution's a-priori bound: the one truncation radius that estimation
-    and level selection use.
+    `level_bounds` (the diagonal bounds, computed once; their `select`
+    is accuracy-driven level selection) and `rho_min`, the solution's
+    a-priori bound: the one truncation radius that estimation and level
+    selection use.
   * `mlpicard.oracles`: independent low-dimensional references
     (`ode_solve`, `fd_solve_1d`, `allen_cahn_reference`), the
     Feynman-Kac `fixed_point_residual` and `max_principle_check`.
   * `mlpicard.experiments`: `rmse_vs_oracle`, `dimension_scaling` and
     `epsilon_sweep` tables; `write_rows` writes any of them as CSV, one
     column per row field.
-  * `mlpicard.randomness`: the counter-based generator (`uniform01`,
-    `gaussian_vector`, `NodeId`, `StreamKey`) and its golden values.
+  * `mlpicard.randomness`: the counter-based generator, as scalar
+    (seed, path, counter) functions (`raw_word`, `uniform01`,
+    `gaussian_vector`) over vectorized kernels, and its golden values.
   * `mlpicard.cli`: the `mlpicard` command. Run `mlpicard --help-config`
     for the configuration grammar.
 

@@ -39,7 +39,8 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class CapExceededError(RuntimeError):
-    """Raised when select_levels finds no admissible level under its cap."""
+    """Raised when ``LevelBounds.select`` finds no admissible level under
+    its cap."""
 
     def __init__(self, message, epsilon, n_max, smallest_bound):
         super().__init__(message)
@@ -185,8 +186,15 @@ class LevelBounds:
     suffix_sup: tuple  # suffix_sup[i] = max(bounds[i:]), nonincreasing
 
     def select(self, epsilon: float) -> int:
-        """Least n with bounds[m] <= epsilon for all m in [n, n_max]
-        (``select_levels``)."""
+        """Least n with bounds[m] <= epsilon for all m in [n, n_max].
+
+        The true rule takes a supremum over all m >= n; the scan caps it at
+        n_max and additionally requires the bound sequence to be
+        nonincreasing on the last three levels, a finite proxy for the
+        vanishing tail.  When the cap binds (no level qualifies, or the tail
+        is not settling) a CapExceededError reports the smallest achieved
+        bound.
+        """
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
         bounds, n_max = self.bounds, len(self.bounds)
@@ -223,20 +231,6 @@ def level_bounds(consts: BoundConstants, n_max: int = 64) -> LevelBounds:
     for i in range(n_max - 2, -1, -1):
         suffix_sup[i] = max(suffix_sup[i], suffix_sup[i + 1])
     return LevelBounds(tuple(bounds), tuple(suffix_sup))
-
-
-def select_levels(epsilon: float, consts: BoundConstants, n_max: int = 64) -> int:
-    """Least n with error_bound(m, m, r) <= epsilon for all m in [n, n_max],
-    at r the a-priori bound of ``consts`` (rho_min of their problem).
-
-    The true rule takes a supremum over all m >= n; the scan caps it at
-    n_max and additionally requires the bound sequence to be nonincreasing
-    on the last three levels, a finite proxy for the vanishing tail.  When
-    the cap binds (no level qualifies, or the tail is not settling) a
-    CapExceededError reports the smallest achieved bound.  A sweep over
-    several epsilon reads one ``level_bounds`` instead.
-    """
-    return level_bounds(consts, n_max).select(epsilon)
 
 
 def cumulative_cost(d: int, N: int, K: int = 0) -> int:

@@ -36,7 +36,7 @@ import numpy as np
 from . import bounds, experiments, oracles, problem as problem_mod
 from .estimator import MlpParams, estimate_batch
 from .problem import Orientation, PdeProblem
-from .randomness import NodeId, StreamKey, uniform01, uniforms_vec, verify_golden
+from .randomness import path_digest, uniform01, uniforms_vec, verify_golden
 
 
 class ConfigError(Exception):
@@ -52,36 +52,24 @@ def _parse_choice(raw, choices, key):
     return value
 
 
-def _parse_int(raw, key):
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+def _parser(convert, what):
+    # a (raw, key) parser: convert(raw), or a ConfigError saying that key
+    # must be what.  int and float ignore surrounding whitespace themselves
+    def parse(raw, key):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
+    return parse
 
 
-def _parse_float(raw, key):
-    try:
-        return float(raw.strip())
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-
-
-def _parse_int_list(raw, key):
-    try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma list of integers, got {raw!r}") from None
-
-
-def _parse_float_list(raw, key):
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma list of numbers, got {raw!r}") from None
-
-
-def _parse_word(raw, key):
-    return raw.strip()
+_parse_int = _parser(int, "an integer")
+_parse_float = _parser(float, "a number")
+_parse_int_list = _parser(lambda raw: tuple(map(int, raw.split(","))),
+                          "a comma list of integers")
+_parse_float_list = _parser(lambda raw: tuple(map(float, raw.split(","))),
+                            "a comma list of numbers")
+_parse_word = _parser(str.strip, "a word")
 
 
 @dataclass(frozen=True)
@@ -470,15 +458,14 @@ def cmd_selftest(config: RunConfig, out: Optional[str], threads: int) -> int:
     checks.append(("golden RNG values", not problems,
                    "; ".join(problems) or "ok"))
 
-    keys = [StreamKey(seed, NodeId(path), counter)
-            for seed, path, counter in ((0, (), 0), (3, (1, -2), 5))]
-    ok = all(uniform01(key) == float(uniforms_vec(np.uint64(key.digest()),
-                                                  key.counter))
-             for key in keys)
+    keys = ((0, (), 0), (3, (1, -2), 5))
+    ok = all(uniform01(seed, path, counter)
+             == float(uniforms_vec(np.uint64(path_digest(seed, path)), counter))
+             for seed, path, counter in keys)
     checks.append(("scalar and vector uniforms agree", ok,
                    f"{len(keys)} keys"))
 
-    u = uniform01(StreamKey(seed=1, node=NodeId((2, -3)), counter=0))
+    u = uniform01(1, (2, -3), 0)
     checks.append(("uniform in range", 0.0 <= u < 1.0, f"u={u}"))
 
     prob = problem_mod.make_problem(dimension=3, horizon=0.5)
@@ -503,7 +490,7 @@ def cmd_selftest(config: RunConfig, out: Optional[str], threads: int) -> int:
     checks.append(("cost examples", bounds.cost_recursion(1, 1, 2) == 6
                    and bounds.cost_recursion(1, 2, 2) == 28, "6, 28"))
 
-    levels = bounds.select_levels(0.5, bounds.surrogate_constants())
+    levels = bounds.level_bounds(bounds.surrogate_constants()).select(0.5)
     checks.append(("level selection surrogate", levels == 4, f"N(0.5)={levels}"))
 
     failed = [name for name, ok, _ in checks if not ok]
@@ -513,14 +500,17 @@ def cmd_selftest(config: RunConfig, out: Optional[str], threads: int) -> int:
     return 0 if not failed else 3
 
 
+# name: (handler, help line), in the order --help lists them
 _COMMANDS = {
-    "estimate": cmd_estimate,
-    "converge": cmd_converge,
-    "scale": cmd_scale,
-    "sweep": cmd_sweep,
-    "oracle": cmd_oracle,
-    "cost": cmd_cost,
-    "selftest": cmd_selftest,
+    "estimate": (cmd_estimate,
+                 "run the estimator at one point, print mean and SE"),
+    "converge": (cmd_converge,
+                 "RMSE-vs-oracle table over levels -> convergence.csv"),
+    "scale": (cmd_scale, "draw counts across dimensions -> scaling.csv"),
+    "sweep": (cmd_sweep, "levels and model cost over accuracies -> sweep.csv"),
+    "oracle": (cmd_oracle, "reference curve (ode or fd) -> oracle.csv"),
+    "cost": (cmd_cost, "cost model vs closed-form bound table -> cost.csv"),
+    "selftest": (cmd_selftest, "golden RNG values and basic invariants"),
 }
 
 
@@ -533,15 +523,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--help-config", action="store_true",
                         help="print the configuration file grammar and exit")
     sub = parser.add_subparsers(dest="command")
-    for name, help_text in (
-        ("estimate", "run the estimator at one point, print mean and SE"),
-        ("converge", "RMSE-vs-oracle table over levels -> convergence.csv"),
-        ("scale", "draw counts across dimensions -> scaling.csv"),
-        ("sweep", "levels and model cost over accuracies -> sweep.csv"),
-        ("oracle", "reference curve (ode or fd) -> oracle.csv"),
-        ("cost", "cost model vs closed-form bound table -> cost.csv"),
-        ("selftest", "golden RNG values and basic invariants"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", default=None,
                          help="path to a configuration file")
@@ -569,7 +551,8 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, seed=args.seed)
         if args.threads < 1:
             raise ConfigError(f"thread count must be >= 1, got {args.threads}")
-        return _COMMANDS[args.command](config, args.out, args.threads)
+        handler, _ = _COMMANDS[args.command]
+        return handler(config, args.out, args.threads)
     except (ConfigError, ValueError) as exc:
         print(f"mlpicard: config error: {exc}", file=sys.stderr)
         return 2

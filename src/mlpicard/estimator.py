@@ -159,23 +159,6 @@ class EstimateResult:
     tally: CostTally
 
 
-class _MutableTally:
-    __slots__ = ("gaussian_scalars", "uniforms", "f_evals", "data_evals")
-
-    def __init__(self):
-        self.gaussian_scalars = 0
-        self.uniforms = 0
-        self.f_evals = 0
-        self.data_evals = 0
-
-    def freeze(self, lanes: int) -> CostTally:
-        # the counts cover every lane; each lane's tree is the same shape
-        return CostTally(
-            self.gaussian_scalars // lanes, self.uniforms // lanes,
-            self.f_evals // lanes, self.data_evals // lanes,
-        )
-
-
 class _Scratch:
     """One run's store for the arrays the estimator allocates itself.
 
@@ -265,7 +248,7 @@ class _Engine:
         # (t + (T - t) * u), formed in the uniforms' own array
         u = uniforms_vec(digests, 0,
                          out=self.scratch.take(digests.shape, np.float64))
-        self.tally.uniforms += u.size
+        self.uniforms += u.size
         if self.forward:
             u *= t
         else:
@@ -292,7 +275,7 @@ class _Engine:
         z = gaussians_vec(
             digests[:, :, None], slots,
             out=self.scratch.take((*digests.shape, self.d), np.float64))
-        self.tally.gaussian_scalars += z.size
+        self.gaussian_scalars += z.size
         z *= scale[:, :, None]
         z += x[:, None, :]
         return z.reshape(-1, self.d)
@@ -401,15 +384,22 @@ class _Engine:
 
     # the recursion ------------------------------------------------------
 
-    def run(self, t, x, digests, tally):
-        # digests are the lanes' root nodes, one path element deep; tally
-        # counts the draws and evaluations of all lanes where they are made
-        self.tally = tally
-        self.scratch = _Scratch(self._peak(self.params.levels, t.shape[0], {}))
+    def run(self, t, x, digests):
+        # the lanes' values and one lane's CostTally; digests are the lanes'
+        # root nodes, one path element deep.  The draw and evaluation sites
+        # count all lanes in the engine's fields named like CostTally's, and
+        # every lane's tree has the same shape
+        B, n = t.shape[0], self.params.levels
+        self.gaussian_scalars = self.uniforms = 0
+        self.f_evals = self.data_evals = 0
+        self.scratch = _Scratch(self._peak(n, B, {}))
         try:
-            return self._evaluate(self.params.levels, t, x, digests, 1).copy()
+            values = self._evaluate(n, t, x, digests, 1).copy()
         finally:
             self.scratch = None
+        return values, CostTally(
+            self.gaussian_scalars // B, self.uniforms // B,
+            self.f_evals // B, self.data_evals // B)
 
     def _evaluate(self, n, t, x, digests, depth):
         # the B results are the frame's first take; they stay in the store
@@ -421,7 +411,7 @@ class _Engine:
             total.fill(0.0)
             return total
         M = self.params.branching
-        nl, data, tally = self.nl, self.data, self.tally
+        nl, data = self.nl, self.data
         frame = scratch.mark()
 
         # level 0: data samples at nodes (theta, 0, -m), m = 1..M^n.  Their
@@ -437,7 +427,7 @@ class _Engine:
             dig = self._absorb(dig_zero[lane], depth + 2, elems)
             pts = self._points(x[lane], total[lane, None], dig,
                                self.gauss_slots)
-            tally.data_evals += len(pts)
+            self.data_evals += len(pts)
             return data.eval(pts)
 
         for lane, sums in self._pass(B, Mn, depth + 2, -1, data_sample):
@@ -451,7 +441,7 @@ class _Engine:
         else:
             def f_sample(lane, elems):
                 _, r, pts = self._draw(t, x, dig_zero, lane, elems, depth + 2)
-                tally.f_evals += len(pts)
+                self.f_evals += len(pts)
                 return nl.eval(r, pts, np.zeros(len(pts)))
 
             for lane, sums in self._pass(B, Mn, depth + 2, 1, f_sample):
@@ -487,7 +477,7 @@ class _Engine:
         sub_hi = self._evaluate(k, r, pts, dig_hi.reshape(-1), depth)
         sub_lo = self._evaluate(k - 1, r, pts, dig_lo, depth)
         rr = self.params.truncation_radius
-        self.tally.f_evals += 2 * len(pts)
+        self.f_evals += 2 * len(pts)
         return (eval_truncated_f(self.nl, r, pts, sub_hi, rr)
                 - eval_truncated_f(self.nl, r, pts, sub_lo, rr))
 
@@ -538,11 +528,9 @@ def estimate_batch(
         # the values of the chunk's lanes and the tally of one lane
         reps = np.arange(start, min(start + chunk, repetitions), dtype=np.int64)
         B = reps.size
-        tally = _MutableTally()
-        values = _Engine(problem, params).run(
+        return _Engine(problem, params).run(
             np.full(B, float(t)), np.broadcast_to(x, (B, d)),
-            absorb_vec(root, 1, reps), tally)
-        return values, tally.freeze(B)
+            absorb_vec(root, 1, reps))
 
     if worker_count == 1 or len(starts) == 1:
         chunks = [run_chunk(s) for s in starts]

@@ -38,14 +38,13 @@ loop: each forms its words in the array it returns and walks it in blocks
 of ``_BLOCK`` elements with one block of scratch, mixing each block with
 ``out=`` passes and, for uniforms and gaussians, converting it while it is
 still in cache.  So no full-size temporary exists, and every value is the
-same as the unblocked recipe, bit for bit.  Each kernel also takes
-``out=``, a C-contiguous array of the broadcast shape that it fills and
-returns, so a caller can reuse its own buffers.
+same as the unblocked recipe, bit for bit.  ``absorb_vec``,
+``uniforms_vec`` and ``gaussians_vec`` also take ``out=``, a C-contiguous
+array of the broadcast shape that they fill and return, so the estimator
+can reuse its own buffers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -183,10 +182,9 @@ def _slot_words(digests, counters, out, step=None) -> np.ndarray:
         np.asarray(np.add(digests, offsets, order="C", out=out)), step)
 
 
-def raw_vec(digests: np.ndarray, counters,
-            out: np.ndarray | None = None) -> np.ndarray:
+def raw_vec(digests: np.ndarray, counters) -> np.ndarray:
     """Raw 64-bit words at the given counter slots (broadcasting)."""
-    return _slot_words(digests, counters, out)
+    return _slot_words(digests, counters, None)
 
 
 def uniforms_vec(digests: np.ndarray, counters,
@@ -209,57 +207,23 @@ def gaussians_vec(digests: np.ndarray, counters,
                        _to_gaussians).view(np.float64)
 
 
-@dataclass(frozen=True)
-class NodeId:
-    """Immutable address of one node in the computation tree."""
-
-    path: tuple[int, ...] = ()
-
-    def child(self, k: int, m: int) -> "NodeId":
-        return NodeId(self.path + (k, m))
-
-    def encode(self) -> str:
-        """Canonical text form: comma-joined signed ints, '-' if empty."""
-        return ",".join(str(v) for v in self.path) if self.path else "-"
-
-    @staticmethod
-    def decode(text: str) -> "NodeId":
-        text = text.strip()
-        if text == "-":
-            return NodeId(())
-        return NodeId(tuple(int(tok) for tok in text.split(",")))
-
-    def __str__(self) -> str:
-        return self.encode()
+def raw_word(seed: int, path: tuple[int, ...], counter: int) -> int:
+    """The raw 64-bit word at slot ``counter`` of node ``path``."""
+    return _raw(path_digest(seed, path), counter)
 
 
-@dataclass(frozen=True)
-class StreamKey:
-    """One addressed slot: ``(seed, node, counter)`` names a single draw."""
-
-    seed: int
-    node: NodeId
-    counter: int = 0
-
-    def digest(self) -> int:
-        return path_digest(self.seed, self.node.path)
-
-
-def raw_word(key: StreamKey) -> int:
-    return _raw(key.digest(), key.counter)
-
-
-def uniform01(key: StreamKey) -> float:
+def uniform01(seed: int, path: tuple[int, ...], counter: int) -> float:
     """Uniform draw in [0, 1) from the addressed slot."""
-    return (raw_word(key) >> 11) * _U53_SCALE
+    return (raw_word(seed, path, counter) >> 11) * _U53_SCALE
 
 
-def gaussian_vector(key: StreamKey, d: int) -> np.ndarray:
+def gaussian_vector(seed: int, path: tuple[int, ...], counter: int,
+                    d: int) -> np.ndarray:
     """d iid standard gaussians, consuming slots counter..counter+d-1."""
     if d <= 0:
         raise ValueError(f"gaussian_vector needs d >= 1, got {d}")
-    digest = np.uint64(key.digest())
-    counters = np.arange(key.counter, key.counter + d, dtype=np.uint64)
+    digest = np.uint64(path_digest(seed, path))
+    counters = np.arange(counter, counter + d, dtype=np.uint64)
     return gaussians_vec(digest, counters)
 
 
@@ -279,7 +243,10 @@ def verify_golden(lines) -> list[str]:
         try:
             seed_s, path_s, counter_s, hex_s = line.split()
             seed, counter = int(seed_s), int(counter_s)
-            digest = path_digest(seed, NodeId.decode(path_s).path)
+            # the path column: comma-joined signed ints, '-' if empty
+            path = (() if path_s == "-"
+                    else tuple(int(tok) for tok in path_s.split(",")))
+            digest = path_digest(seed, path)
             # counters are uint64 slots: one out of range is malformed
             kernel = int(raw_vec(np.uint64(digest), np.uint64(counter)))
         except (ValueError, OverflowError):

@@ -15,8 +15,8 @@ import numpy as np
 from mlpicard.bounds import (
     cost_bound,
     cost_recursion,
+    level_bounds,
     rho_min,
-    select_levels,
     surrogate_constants,
 )
 from mlpicard.estimator import MlpParams, estimate_batch, transform_to_backward
@@ -274,12 +274,13 @@ def test_criterion_4_level_selection_monotone_and_sweep_finite():
     # The flat-Lipschitz surrogate is the one constant set whose diagonal
     # bound settles within a practical level cap; the Allen-Cahn constants
     # at an admissible radius have L(rho) ~ 56, so their diagonal only
-    # starts decaying near level L^2 and select_levels rightly refuses the
+    # starts decaying near level L^2 and level selection rightly refuses the
     # capped scan (covered by the CapExceededError tests).
     eps_grid = sorted(2.0 ** -k for k in range(1, 7))
-    levels = [select_levels(e, surrogate_constants()) for e in eps_grid]
+    table = level_bounds(surrogate_constants())
+    levels = [table.select(e) for e in eps_grid]
     monotone = levels == sorted(levels, reverse=True)
-    n_tiny = select_levels(1e-6, surrogate_constants())
+    n_tiny = table.select(1e-6)
     sweep = epsilon_sweep(surrogate_constants(), delta=1.0,
                           epsilon_list=eps_grid, d_list=[1, 10, 100])
     finite = (math.isfinite(sweep.scaled_max) and math.isfinite(sweep.scaled_min)

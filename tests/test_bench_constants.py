@@ -26,9 +26,9 @@ def test_lanes_per_chunk_is_what_estimate_batch_runs(monkeypatch, tmp_path,
     runs = []
     run = estimator._Engine.run
 
-    def recorded(self, t, x, digests, tally):
+    def recorded(self, t, x, digests):
         runs.append((self.params.levels, t.shape[0]))
-        return run(self, t, x, digests, tally)
+        return run(self, t, x, digests)
 
     monkeypatch.setattr(estimator._Engine, "run", recorded)
     # table_d1's set-up wraps experiments.estimate_batch; undone on exit

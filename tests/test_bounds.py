@@ -16,8 +16,8 @@ from mlpicard.bounds import (
     cost_recursion,
     cumulative_cost,
     error_bound,
+    level_bounds,
     rho_min,
-    select_levels,
     surrogate_constants,
 )
 from mlpicard.problem import make_problem
@@ -131,12 +131,12 @@ def test_partial_sum_bound(alpha):
 
 def test_select_levels_surrogate_scan():
     consts = surrogate_constants()
-    assert select_levels(1e-6, consts) == 16
+    assert level_bounds(consts).select(1e-6) == 16
     # diagonal bound e^{m/2} m^{-m/2}: 1.649, 1.359, 0.862, ... so the
     # first level whose tail stays below 1.0 is 3
-    assert select_levels(1.0, consts) == 3
+    assert level_bounds(consts).select(1.0) == 3
     grid = [2.0**-k for k in range(1, 7)]
-    levels = [select_levels(eps, consts) for eps in grid]
+    levels = [level_bounds(consts).select(eps) for eps in grid]
     assert levels == sorted(levels)  # nonincreasing in eps = nondecreasing here
     assert levels[0] == 4
 
@@ -144,25 +144,25 @@ def test_select_levels_surrogate_scan():
 def test_select_levels_returns_one_when_bound_tiny_everywhere():
     tiny = BoundConstants(kappa=1e-9, f0_abs=0.0, horizon=1.0,
                           coercivity_c=0.0, lipschitz_local=lambda r: 0.0)
-    assert select_levels(1.0, tiny) == 1
+    assert level_bounds(tiny).select(1.0) == 1
     zero = BoundConstants(kappa=0.0, f0_abs=0.0, horizon=1.0,
                           coercivity_c=0.0, lipschitz_local=lambda r: 0.0)
-    assert select_levels(0.5, zero) == 1
+    assert level_bounds(zero).select(0.5) == 1
 
 
 @given(st.floats(min_value=1e-8, max_value=1.0))
 @settings(max_examples=60, deadline=None)
 def test_select_levels_monotone_in_epsilon(eps):
     consts = surrogate_constants()
-    n_lo = select_levels(eps, consts)
-    n_hi = select_levels(min(1.0, eps * 2.0), consts)
+    n_lo = level_bounds(consts).select(eps)
+    n_hi = level_bounds(consts).select(min(1.0, eps * 2.0))
     assert n_lo >= n_hi
 
 
 def test_select_levels_cap_error_carries_diagnostics():
     consts = surrogate_constants()
     with pytest.raises(CapExceededError) as err:
-        select_levels(1e-6, consts, n_max=10)
+        level_bounds(consts, 10).select(1e-6)
     assert err.value.epsilon == 1e-6
     assert err.value.n_max == 10
     assert err.value.smallest_bound > 1e-6
@@ -172,7 +172,7 @@ def test_select_levels_rejects_bad_epsilon():
     consts = surrogate_constants()
     for eps in (0.0, -1.0, 1.5):
         with pytest.raises(ValueError):
-            select_levels(eps, consts)
+            level_bounds(consts).select(eps)
 
 
 def test_bound_constants_validation():
@@ -208,7 +208,7 @@ def test_select_levels_evaluates_the_bound_at_rho_min(horizon):
 
     recorded = dataclasses.replace(consts, lipschitz_local=recording)
     try:
-        select_levels(0.5, recorded)
+        level_bounds(recorded).select(0.5)
     except CapExceededError:
         pass  # T = 0.5: the bound still rises at the cap, after a full scan
     assert len(radii) == 64

@@ -1,5 +1,6 @@
 """Exit-code contract, config round-trip, CSV reproducibility, smoke runs."""
 
+import argparse
 import dataclasses
 
 import pytest
@@ -8,6 +9,7 @@ from mlpicard import bounds
 from mlpicard.cli import (
     ConfigError,
     RunConfig,
+    build_arg_parser,
     main,
     parse_config,
 )
@@ -68,6 +70,52 @@ def test_config_rejects_unknown_key_and_section():
         parse_config("[estimator]\nschedule = default\n")
     with pytest.raises(ConfigError):
         parse_config("[problem]\ndimension = banana\n")
+
+
+@pytest.mark.parametrize("section, key, raw, message", [
+    ("problem", "dimension", "banana",
+     "[problem] dimension must be an integer, got 'banana'"),
+    ("problem", "horizon", "soon",
+     "[problem] horizon must be a number, got 'soon'"),
+    ("estimator", "n_list", "1,two",
+     "[estimator] n_list must be a comma list of integers, got '1,two'"),
+    ("evaluation", "x", "0.5,,1",
+     "[evaluation] x must be a comma list of numbers, got '0.5,,1'"),
+    ("problem", "orientation", "Sideways",
+     "[problem] orientation must be one of ['backward', 'forward'], "
+     "got 'Sideways'"),
+])
+def test_config_parse_errors_name_the_key_and_the_value(section, key, raw,
+                                                         message):
+    # one bad value per parser: integer, number, integer list, number list
+    # and choice
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[{section}]\n{key} = {raw}\n")
+    assert str(err.value) == message
+
+
+def test_subcommands_their_help_lines_and_common_options():
+    parser = build_arg_parser()
+    sub, = (action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction))
+    assert [(choice.dest, choice.help) for choice in sub._choices_actions] == [
+        ("estimate", "run the estimator at one point, print mean and SE"),
+        ("converge", "RMSE-vs-oracle table over levels -> convergence.csv"),
+        ("scale", "draw counts across dimensions -> scaling.csv"),
+        ("sweep", "levels and model cost over accuracies -> sweep.csv"),
+        ("oracle", "reference curve (ode or fd) -> oracle.csv"),
+        ("cost", "cost model vs closed-form bound table -> cost.csv"),
+        ("selftest", "golden RNG values and basic invariants"),
+    ]
+    assert list(sub.choices) == [choice.dest for choice in sub._choices_actions]
+    for name in sub.choices:
+        args = parser.parse_args([name, "--config", "run.ini", "--seed", "5",
+                                  "--threads", "2", "--out", "table.csv"])
+        assert (args.command, args.config, args.seed, args.threads,
+                args.out) == (name, "run.ini", 5, 2, "table.csv")
+        args = parser.parse_args([name])
+        assert (args.config, args.seed, args.threads, args.out) == (
+            None, None, 1, None)
 
 
 HELP_CONFIG = """\

@@ -102,18 +102,20 @@ def _defaulted(fn, label, bound):
 
 
 def passed_params(texts):
-    # (keyword names, {callable name: most positional arguments}) over the
-    # calls in texts; a starred argument counts as any number of positional
-    # arguments and a ** argument as every keyword
-    keywords, positions = set(), {}
+    # ({callable name: keyword names}, {callable name: most positional
+    # arguments}) over the calls in texts; a starred argument counts as any
+    # number of positional arguments and a ** argument as every keyword of
+    # the callable it is passed to
+    keywords, positions = {}, {}
     nodes = (node for text in texts for node in ast.walk(ast.parse(text)))
     for node in nodes:
         if not isinstance(node, ast.Call):
             continue
-        keywords.update(kw.arg or "**" for kw in node.keywords)
         func = node.func
         name = (func.id if isinstance(func, ast.Name) else
                 func.attr if isinstance(func, ast.Attribute) else None)
+        keywords.setdefault(name, set()).update(
+            kw.arg or "**" for kw in node.keywords)
         count = (math.inf if any(isinstance(arg, ast.Starred)
                                  for arg in node.args) else len(node.args))
         positions[name] = max(positions.get(name, 0), count)
@@ -121,11 +123,12 @@ def passed_params(texts):
 
 
 def _passes(passed, label, param, positions):
-    # a call passes param when it names it as a keyword, or when it passes
-    # the callable of label's name at least positions positional arguments
+    # a call passes param when it passes the callable of label's name param
+    # as a keyword, or at least positions positional arguments
     keywords, most = passed
     name = label.rsplit(".", 1)[-1]
-    return (param in keywords or "**" in keywords
+    named = keywords.get(name, set())
+    return (param in named or "**" in named
             or (positions is not None and most.get(name, 0) >= positions))
 
 
@@ -157,7 +160,9 @@ def test_defaulted_parameters_are_passed_by_keyword_or_position():
     assert _passes(passed, "Beta.gamma", "v", 2)
     assert not _passes(passed, "Beta.delta", "w", 1)
     assert _passes(passed_params(["delta(*ws)"]), "Beta.delta", "w", 1)
-    assert _passes(passed_params(["g(**kw)"]), "alpha", "y", 2)
+    assert not _passes(passed_params(["other(z=3)"]), "alpha", "z", None)
+    assert _passes(passed_params(["alpha(**kw)"]), "alpha", "y", 2)
+    assert not _passes(passed_params(["g(**kw)"]), "alpha", "y", 2)
 
 
 def test_package_init_is_its_docstring_alone():

@@ -4,14 +4,10 @@ import importlib.resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from mlpicard.randomness import (
     _BLOCK,
-    NodeId,
-    StreamKey,
     absorb_vec,
     gaussian_vector,
     gaussians_vec,
@@ -39,7 +35,8 @@ GOLDEN_MIRROR = [
     (2**64 - 1, (1, -2, 3), 2, 0xCEDBC5A2A1112FF3),
 ]
 
-# Independent mirror of gaussian_vector(key, 3) at every golden key, as
+# Independent mirror of gaussian_vector(seed, path, counter, 3) at every
+# golden key, as
 # float.hex.  The golden words pin mix64; these pin the float conversion
 # and ndtri on top of it.
 GAUSSIAN_MIRROR = [
@@ -72,67 +69,59 @@ def test_golden_file_matches_generator():
 
 def test_golden_hardcoded_mirror():
     for seed, node_path, counter, expected in GOLDEN_MIRROR:
-        key = StreamKey(seed=seed, node=NodeId(node_path), counter=counter)
-        assert raw_word(key) == expected, (seed, node_path, counter)
+        assert raw_word(seed, node_path, counter) == expected, (
+            seed, node_path, counter)
 
 
 def test_gaussian_hardcoded_mirror():
-    keys = [(int(seed), NodeId.decode(path).path, int(counter))
+    keys = [(int(seed), () if path == "-" else tuple(map(int, path.split(","))),
+             int(counter))
             for seed, path, counter, _ in map(str.split, _golden_file_lines())]
     assert [entry[:3] for entry in GAUSSIAN_MIRROR] == keys
     for seed, node_path, counter, expected in GAUSSIAN_MIRROR:
-        key = StreamKey(seed=seed, node=NodeId(node_path), counter=counter)
-        got = tuple(float(v).hex() for v in gaussian_vector(key, 3))
+        got = tuple(float(v).hex()
+                    for v in gaussian_vector(seed, node_path, counter, 3))
         assert got == expected, (seed, node_path, counter)
 
 
 def test_same_key_same_outputs():
-    key = StreamKey(seed=7, node=NodeId((3, -2, 1)), counter=5)
-    again = StreamKey(seed=7, node=NodeId((3, -2, 1)), counter=5)
-    assert raw_word(key) == raw_word(again)
-    assert uniform01(key) == uniform01(again)
-    assert np.array_equal(gaussian_vector(key, 4), gaussian_vector(again, 4))
+    key = (7, (3, -2, 1), 5)
+    again = (7, (3, -2, 1), 5)
+    assert raw_word(*key) == raw_word(*again)
+    assert uniform01(*key) == uniform01(*again)
+    assert np.array_equal(gaussian_vector(*key, 4), gaussian_vector(*again, 4))
 
 
 def test_uniform_in_unit_interval():
     for counter in range(64):
-        u = uniform01(StreamKey(seed=0, node=NodeId((1, 2)), counter=counter))
+        u = uniform01(0, (1, 2), counter)
         assert 0.0 <= u < 1.0
 
 
 def test_counter_slots_are_distinct_draws():
-    node = NodeId((4,))
-    values = [uniform01(StreamKey(0, node, c)) for c in range(16)]
+    values = [uniform01(0, (4,), c) for c in range(16)]
     assert len(set(values)) == 16
 
 
 def test_gaussian_consumes_one_slot_per_scalar():
-    node = NodeId((9, -9))
-    full = gaussian_vector(StreamKey(seed=3, node=node, counter=0), 6)
-    head = gaussian_vector(StreamKey(seed=3, node=node, counter=0), 2)
-    tail = gaussian_vector(StreamKey(seed=3, node=node, counter=2), 4)
+    node = (9, -9)
+    full = gaussian_vector(3, node, 0, 6)
+    head = gaussian_vector(3, node, 0, 2)
+    tail = gaussian_vector(3, node, 2, 4)
     assert np.array_equal(full[:2], head)
     assert np.array_equal(full[2:], tail)
 
 
 def test_gaussian_rejects_nonpositive_dimension():
     with pytest.raises(ValueError):
-        gaussian_vector(StreamKey(0, NodeId(()), 0), 0)
+        gaussian_vector(0, (), 0, 0)
 
 
 def test_child_appends_and_distinguishes_signs():
-    assert NodeId(()).child(0, -1).path == (0, -1)
-    assert NodeId((0, -1)).child(2, 3).path == (0, -1, 2, 3)
-    base = NodeId((5,))
-    assert base.child(1, 2) != base.child(-1, 2)
-    assert base.child(0, 2) != base.child(0, -2)
-
-
-@given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_encode_decode_round_trip(path):
-    node = NodeId(tuple(path))
-    assert NodeId.decode(node.encode()) == node
+    # a child's path extends its parent's by (k, m); the sign of either
+    # element names a different node
+    assert path_digest(0, (5, 1, 2)) != path_digest(0, (5, -1, 2))
+    assert path_digest(0, (5, 0, 2)) != path_digest(0, (5, 0, -2))
 
 
 def test_path_digests_injective_on_small_paths():
@@ -145,10 +134,10 @@ def test_path_digests_injective_on_small_paths():
 
 def test_prefix_and_extension_key_distinct_streams():
     # a path and its extensions must not share raw words at low counters
-    base = NodeId((2, -3))
-    ext = base.child(1, 4)
-    words_base = {raw_word(StreamKey(0, base, c)) for c in range(8)}
-    words_ext = {raw_word(StreamKey(0, ext, c)) for c in range(8)}
+    base = (2, -3)
+    ext = base + (1, 4)
+    words_base = {raw_word(0, base, c) for c in range(8)}
+    words_ext = {raw_word(0, ext, c) for c in range(8)}
     assert not words_base & words_ext
 
 
@@ -202,11 +191,12 @@ def test_scalar_and_vector_paths_agree():
         for p in rng_paths:
             digest = np.uint64(path_digest(seed, p))
             for counter in (0, 1, 7):
-                key = StreamKey(seed, NodeId(p), counter)
-                assert raw_word(key) == int(raw_vec(digest, np.uint64(counter)))
-                assert uniform01(key) == float(uniforms_vec(digest, np.uint64(counter)))
+                assert raw_word(seed, p, counter) == int(
+                    raw_vec(digest, np.uint64(counter)))
+                assert uniform01(seed, p, counter) == float(
+                    uniforms_vec(digest, np.uint64(counter)))
             vec = gaussians_vec(digest, np.arange(4, dtype=np.uint64))
-            assert np.array_equal(gaussian_vector(StreamKey(seed, NodeId(p), 0), 4), vec)
+            assert np.array_equal(gaussian_vector(seed, p, 0, 4), vec)
 
 
 def _unblocked_gaussians(digests, counters):
@@ -256,7 +246,7 @@ def test_blocked_gaussians_match_scalar_words():
     sample = np.random.default_rng(0).integers(0, z.size, 200)
     for flat in [0, z.size - 1, *edges, *sample.tolist()]:
         j, c = divmod(flat, d)
-        w = raw_word(StreamKey(seed, NodeId((j,)), c))
+        w = raw_word(seed, (j,), c)
         want = float(ndtri(((w >> 11) + 0.5) * 2.0**-53))
         assert z[j, c].hex() == want.hex(), (j, c)
 
@@ -298,7 +288,7 @@ def test_verify_golden_checks_the_blocked_kernel(monkeypatch):
 def test_blocked_words_and_digests_match_scalar_recipe_and_fill_out():
     # absorb_vec, raw_vec and uniforms_vec mix and convert in _BLOCK-sized
     # blocks: across block edges they must give the scalar recipe's words
-    # and uniforms, and every kernel given out=
+    # and uniforms, and every kernel that takes out=
     # must write the same bits into the caller's array and return it
     seed, n = 6, 3 * _BLOCK + 7
     root = np.uint64(path_digest(seed, ()))
@@ -311,11 +301,9 @@ def test_blocked_words_and_digests_match_scalar_recipe_and_fill_out():
     sample = np.random.default_rng(1).integers(0, n, 100)
     for i in [0, n - 1, *edges, *sample.tolist()]:
         assert int(lanes[i]) == path_digest(seed, (int(elems[i]),)), i
-        assert int(words[i]) == raw_word(StreamKey(seed, NodeId(()), i)), i
-        assert (float(uniforms[i]).hex()
-                == uniform01(StreamKey(seed, NodeId(()), i)).hex()), i
+        assert int(words[i]) == raw_word(seed, (), i), i
+        assert float(uniforms[i]).hex() == uniform01(seed, (), i).hex(), i
     for kernel, args in ((absorb_vec, (lanes[:, None], 2, elems[:3])),
-                         (raw_vec, (root, counters)),
                          (uniforms_vec, (lanes[:, None], np.arange(2))),
                          (gaussians_vec, (lanes[:5, None], counters))):
         want = kernel(*args)
@@ -324,4 +312,4 @@ def test_blocked_words_and_digests_match_scalar_recipe_and_fill_out():
         assert got.shape == out.shape and np.shares_memory(got, out)
         assert got.tobytes() == want.tobytes(), kernel.__name__
     with pytest.raises(ValueError, match="C-contiguous"):
-        raw_vec(root, counters[:4], out=np.empty(8, dtype=np.uint64)[::2])
+        uniforms_vec(root, counters[:4], out=np.empty(8)[::2])
