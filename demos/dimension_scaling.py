@@ -24,8 +24,8 @@ def main():
         print(f"{row.d:>5} {row.gaussians_measured:>10} "
               f"{row.draws_measured:>10} {row.cost_model:>10} "
               f"{row.wall_time_s:>8.3f}")
-    print(f"\nmodel affine in d: {result.cost_affine_exact} "
-          f"(fit R^2 = {result.gaussian_fit_r2:.6f})")
+    print(f"\nmodel affine in d: {result.cost_affine_exact}; "
+          f"measured draws affine in d: {result.draws_affine_exact}")
     by_d = {row.d: row.gaussians_measured for row in result.rows}
     print(f"gaussian draws, d=10 -> 100: {by_d[100] / by_d[10]:.2f}x; "
           f"d=100 -> 1000: {by_d[1000] / by_d[100]:.2f}x")

@@ -237,8 +237,6 @@ def load_config(path: Optional[str]) -> RunConfig:
 
 def build_problem(config: RunConfig) -> PdeProblem:
     if config.nonlinearity == "linear":
-        if config.a is None:
-            raise ConfigError("linear nonlinearity needs [problem] a")
         nl = problem_mod.builtin_nonlinearity("linear", a=config.a)
     else:
         nl = problem_mod.builtin_nonlinearity(config.nonlinearity)
@@ -246,8 +244,6 @@ def build_problem(config: RunConfig) -> PdeProblem:
         data = problem_mod.builtin_data("constant", config.dimension,
                                         value=config.value)
     else:
-        if config.kappa is None:
-            raise ConfigError(f"{config.data} data needs [problem] kappa")
         data = problem_mod.builtin_data(config.data, config.dimension,
                                         kappa=config.kappa)
     return problem_mod.make_problem(
@@ -373,7 +369,7 @@ def cmd_scale(config: RunConfig, out: Optional[str], threads: int) -> int:
     experiments.write_rows(path, experiments.ScalingRow, result.rows)
     print(f"scale: {len(result.rows)} rows -> {path}; "
           f"cost_affine_exact={result.cost_affine_exact}; "
-          f"gaussian_fit_r2={result.gaussian_fit_r2!r}")
+          f"draws_affine_exact={result.draws_affine_exact}")
     return 0
 
 

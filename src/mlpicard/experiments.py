@@ -126,7 +126,14 @@ class ScalingRow:
 class ScalingResult:
     rows: tuple
     cost_affine_exact: bool
-    gaussian_fit_r2: float
+    draws_affine_exact: bool
+
+
+def _affine_exact(ds: Sequence[int], values: Sequence[int]) -> bool:
+    # the line through the first two points, in integer arithmetic; the
+    # caller rejects repeated dimensions, so ds[1] != ds[0]
+    slope = Fraction(values[1] - values[0], ds[1] - ds[0])
+    return all(v == values[0] + slope * (d - ds[0]) for d, v in zip(ds, values))
 
 
 def dimension_scaling(
@@ -140,10 +147,9 @@ def dimension_scaling(
 ) -> ScalingResult:
     """Draw counts and model cost across dimensions at fixed n = M, at x = 0.
 
-    The cost model is affine in d at fixed (n, M); the affine check fits
-    the first two dimensions exactly (integer arithmetic) and requires
-    every further point to match.  Measured gaussian draws are fitted
-    against d and the R^2 reported.
+    The cost model and the measured draws are both affine in d at fixed
+    (n, M); each affine check fits the first two dimensions exactly
+    (integer arithmetic) and requires every further point to match.
     """
     if len(d_list) < 2:
         raise ValueError("d_list needs at least two dimensions")
@@ -172,23 +178,12 @@ def dimension_scaling(
             )
         )
 
-    d0, d1 = rows[0].d, rows[1].d
-    slope = Fraction(rows[1].cost_model - rows[0].cost_model, d1 - d0)
-    intercept = Fraction(rows[0].cost_model) - slope * d0
-    affine = all(
-        Fraction(row.cost_model) == slope * row.d + intercept for row in rows
-    )
-    ds = np.array([row.d for row in rows], dtype=float)
-    gs = np.array([row.gaussians_measured for row in rows], dtype=float)
-    g_slope, g_intercept = np.polyfit(ds, gs, 1)
-    fitted = g_slope * ds + g_intercept
-    ss_res = float(((gs - fitted) ** 2).sum())
-    ss_tot = float(((gs - gs.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    ds = [row.d for row in rows]
     return ScalingResult(
         rows=tuple(rows),
-        cost_affine_exact=affine,
-        gaussian_fit_r2=r2,
+        cost_affine_exact=_affine_exact(ds, [row.cost_model for row in rows]),
+        draws_affine_exact=_affine_exact(
+            ds, [row.draws_measured for row in rows]),
     )
 
 

@@ -273,50 +273,8 @@ def fd_refinement_gap(problem: PdeProblem, oracle: FdOracle1d, t: float) -> floa
     return float(np.max(np.abs(coarse.values - fine.values[::2])))
 
 
-class RunningStats:
-    """Streaming count/mean/M2 with exact-shape parallel merge.
-
-    Merging two accumulators gives the same statistics as streaming the
-    concatenated samples (up to roundoff); merge is associative to ~1e-12
-    relative, so chunked and threaded accumulation commute.
-    """
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self, count: int = 0, mean: float = 0.0, m2: float = 0.0):
-        self.count = count
-        self.mean = mean
-        self.m2 = m2
-
-    def update_many(self, values) -> None:
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.size == 0:
-            return
-        chunk = RunningStats(
-            count=int(values.size),
-            mean=float(values.mean()),
-            m2=float(((values - values.mean()) ** 2).sum()),
-        )
-        merged = self.merge(chunk)
-        self.count, self.mean, self.m2 = merged.count, merged.mean, merged.m2
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        if self.count == 0:
-            return RunningStats(other.count, other.mean, other.m2)
-        if other.count == 0:
-            return RunningStats(self.count, self.mean, self.m2)
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / n
-        m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / n
-        return RunningStats(n, mean, m2)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof = 1)."""
-        if self.count < 2:
-            return 0.0
-        return self.m2 / (self.count - 1)
+# elements of the largest (samples, d) gaussian block the residual holds at once
+_RESIDUAL_CHUNK = 1 << 21
 
 
 def fixed_point_residual(
@@ -349,11 +307,12 @@ def fixed_point_residual(
     d = problem.dimension
     nl = problem.nonlinearity
 
-    stats = RunningStats()
+    terms = np.empty(samples)
     root = np.uint64(path_digest(seed, ()))
-    chunk = max(1, (1 << 21) // max(d, 1))
+    chunk = max(1, _RESIDUAL_CHUNK // max(d, 1))
     for start in range(0, samples, chunk):
-        js = np.arange(start, min(start + chunk, samples), dtype=np.int64)
+        stop = min(start + chunk, samples)
+        js = np.arange(start, stop, dtype=np.int64)
         digs = absorb_vec(root, 1, js)[:, None]
         u = uniforms_vec(digs[:, 0], 0)
         r_times = t * u
@@ -362,16 +321,13 @@ def fixed_point_residual(
         zd = gaussians_vec(digs, np.arange(d + 1, 2 * d + 1, dtype=np.uint64))
         xd = x + math.sqrt(2.0 * t) * zd
         ref_at_y = np.asarray(u_ref(r_times, y), dtype=np.float64)
-        terms = (
+        terms[start:stop] = (
             np.asarray(u_ref(np.zeros(js.size), xd), dtype=np.float64)
             + t * np.asarray(nl.eval(r_times, y, ref_at_y), dtype=np.float64)
         )
-        stats.update_many(terms)
 
     lhs = float(np.asarray(u_ref(np.array([t]), x[None, :])).reshape(()))
-    residual = lhs - stats.mean
-    se = math.sqrt(stats.variance / stats.count)
-    return residual, se
+    return lhs - float(terms.mean()), math.sqrt(terms.var(ddof=1) / samples)
 
 
 @dataclass(frozen=True)

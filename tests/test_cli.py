@@ -218,6 +218,19 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[problem]\ndata = cosine_mean\n", "cosine_mean data needs parameter kappa"),
+    ("[problem]\nnonlinearity = linear\n", "linear nonlinearity needs parameter a"),
+])
+def test_missing_problem_parameter_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "missing.ini"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "estimate", "--config", str(cfg))
+    assert code == 2
+    assert "config error" in err and message in err
+    assert "value_mean" not in out
+
+
 @pytest.mark.parametrize("text", [
     "[evaluation]\nx = nan\n",
     "[problem]\ndata = cosine_mean\nkappa = 1.0\n[evaluation]\nx = inf\n",
@@ -453,6 +466,16 @@ def test_cost_table_has_108_rows_and_bound_dominates(tmp_path, capsys):
         d, n, M, model, bound = map(int, line.split(","))
         assert model <= bound, line
     assert "violations: 0" in out
+
+
+def test_scale_reports_both_affinity_checks(tmp_path, capsys):
+    out_path = tmp_path / "scaling.csv"
+    code, out, _ = run(capsys, "scale", "--out", str(out_path))
+    assert code == 0
+    assert out.endswith("cost_affine_exact=True; draws_affine_exact=True\n")
+    assert strip_wall(out_path.read_text(encoding="utf-8")) == [
+        "d,gaussians_measured,draws_measured,cost_model",
+        "1,138,159,393", "10,1380,1401,2688", "100,13800,13821,25638"]
 
 
 def test_oracle_ode_equilibrium_curve(tmp_path, capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mlpicard
+from mlpicard import oracles
 from mlpicard.experiments import write_csv
 from mlpicard.oracles import (
     Boundary,
@@ -323,6 +324,18 @@ def test_residual_standard_error_scaling():
                                   samples=10**6, seed=11)
     ratio = se4 / se6
     assert abs(ratio - 10.0) <= 2.0  # within 20% of samples^{-1/2} scaling
+
+
+def test_residual_does_not_depend_on_chunk_size(monkeypatch):
+    # d = 300 and 20 000 samples take three chunks by default
+    d = 300
+    prob = make_problem(dimension=d, horizon=0.5)
+    u_ref = lambda ts, xs: np.exp(-np.asarray(ts)) * np.cos(xs.mean(axis=-1))
+    x = np.linspace(-1.0, 1.0, d)
+    default = fixed_point_residual(u_ref, prob, 0.5, x, samples=20_000, seed=4)
+    monkeypatch.setattr(oracles, "_RESIDUAL_CHUNK", 300 * d)
+    small = fixed_point_residual(u_ref, prob, 0.5, x, samples=20_000, seed=4)
+    assert small == default
 
 
 def test_residual_preconditions():
