@@ -116,19 +116,29 @@ class ConfigKey:
 _ORIENTATIONS = tuple(o.value for o in Orientation)
 _BOUNDARIES = tuple(b.value for b in oracles.Boundary)
 
+
+def _builtin_parameter(kind, key, what):
+    # a [problem] parameter of the builtins of kind; its help names those
+    # that read it, with their defaults, from the problem module's registry
+    readers = " | ".join(
+        name if default is None else f"{name} (default {default!r})"
+        for name, (param, default) in
+        problem_mod.builtin_parameters(kind).items() if param == key)
+    return ConfigKey("problem", key, "", _parse_float,
+                     f"{what}; read by {readers}")
+
+
 CONFIG_KEYS = (
     ConfigKey("problem", "dimension", "1", _parse_int, "integer >= 1"),
     ConfigKey("problem", "horizon", "0.5", _parse_float, "T > 0"),
     ConfigKey("problem", "orientation", "forward", _ORIENTATIONS),
     ConfigKey("problem", "nonlinearity", "allen_cahn",
-              problem_mod.NONLINEARITY_NAMES),
-    ConfigKey("problem", "a", "", _parse_float,
-              "coefficient, linear nonlinearity only"),
-    ConfigKey("problem", "data", "constant", problem_mod.DATA_NAMES),
-    ConfigKey("problem", "value", "2.0", _parse_float,
-              "datum value, constant data only"),
-    ConfigKey("problem", "kappa", "", _parse_float,
-              "datum amplitude, cosine_mean/gaussian_bump only"),
+              tuple(problem_mod.builtin_parameters("nonlinearity"))),
+    _builtin_parameter("nonlinearity", "a", "coefficient"),
+    ConfigKey("problem", "data", "constant",
+              tuple(problem_mod.builtin_parameters("data"))),
+    _builtin_parameter("data", "value", "datum value"),
+    _builtin_parameter("data", "kappa", "datum amplitude"),
     ConfigKey("estimator", "levels", "1", _parse_int, "n >= 0"),
     ConfigKey("estimator", "n_list", "", _parse_int_list,
               "comma list, converge only (overrides levels)"),
@@ -236,22 +246,21 @@ def load_config(path: Optional[str]) -> RunConfig:
 
 
 def build_problem(config: RunConfig) -> PdeProblem:
-    if config.nonlinearity == "linear":
-        nl = problem_mod.builtin_nonlinearity("linear", a=config.a)
-    else:
-        nl = problem_mod.builtin_nonlinearity(config.nonlinearity)
-    if config.data == "constant":
-        data = problem_mod.builtin_data("constant", config.dimension,
-                                        value=config.value)
-    else:
-        data = problem_mod.builtin_data(config.data, config.dimension,
-                                        kappa=config.kappa)
+    # each builtin gets the [problem] parameters of its kind that the config
+    # sets; one it does not read is a ValueError, so the run exits 2
+    def params(kind):
+        return {key: getattr(config, key)
+                for key, _ in problem_mod.builtin_parameters(kind).values()
+                if key and getattr(config, key) is not None}
+
     return problem_mod.make_problem(
         dimension=config.dimension,
         horizon=config.horizon,
         orientation=Orientation(config.orientation),
-        nonlinearity=nl,
-        data=data,
+        nonlinearity=problem_mod.builtin_nonlinearity(
+            config.nonlinearity, **params("nonlinearity")),
+        data=problem_mod.builtin_data(config.data, config.dimension,
+                                      **params("data")),
     )
 
 
@@ -467,8 +476,8 @@ def cmd_selftest(config: RunConfig, out: Optional[str], threads: int) -> int:
     prob = problem_mod.make_problem(dimension=3, horizon=0.5)
     params = MlpParams(levels=1, branching=1, truncation_radius=4.0, seed=0)
     res = estimate_batch(prob, params, 0.5, np.zeros(3), 1)[0]
-    checks.append(("single-level estimate is the datum", res.value == 2.0,
-                   f"value={res.value}"))
+    checks.append(("single-level estimate is the datum",
+                   res.value == prob.data.constant_value, f"value={res.value}"))
 
     res0 = estimate_batch(
         prob, dataclasses.replace(params, levels=0), 0.5, np.zeros(3), 1)[0]

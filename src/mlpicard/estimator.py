@@ -297,15 +297,15 @@ class _Engine:
         # the longest run of a spanning lane that is reduced in one call
         return max(self._rows(), _PAIRWISE_BLOCK)
 
-    def _pass(self, lanes, m, depth, sign, sample):
+    def _pass(self, lanes, m, sign, sample):
         # yields (lane, sums) for a slice of the lanes and their sums over
         # the pass, each reduced as if the pass were one array.
         # sample(lane, elems) gives the results of one tile's (lane, m)
         # pairs, whose digests absorb the sample indices elems = sign *
-        # (j.start + 1 .. j.stop) at depth; the tile's takes are released
-        # once the caller has used the sums.  Tiles of whole lanes all
-        # absorb sign * (1..m); a lane that spans tiles is summed by
-        # _span_sum
+        # (j.start + 1 .. j.stop) at the depth sample holds; the tile's
+        # takes are released once the caller has used the sums.  Tiles of
+        # whole lanes all absorb sign * (1..m); a lane that spans tiles is
+        # summed by _span_sum
         rows = self._rows()
         if m > rows:
             for b in range(lanes):
@@ -430,7 +430,7 @@ class _Engine:
             self.data_evals += len(pts)
             return data.eval(pts)
 
-        for lane, sums in self._pass(B, Mn, depth + 2, -1, data_sample):
+        for lane, sums in self._pass(B, Mn, -1, data_sample):
             np.divide(sums, Mn, out=total[lane])
             del sums  # not kept through the next tile's recursion
 
@@ -444,7 +444,7 @@ class _Engine:
                 self.f_evals += len(pts)
                 return nl.eval(r, pts, np.zeros(len(pts)))
 
-            for lane, sums in self._pass(B, Mn, depth + 2, 1, f_sample):
+            for lane, sums in self._pass(B, Mn, 1, f_sample):
                 total[lane] += self._outer_coef(t[lane]) * (sums / Mn)
                 del sums
         scratch.release(frame)
@@ -460,7 +460,7 @@ class _Engine:
                 dig_mk = self._absorb(digests[:, None], depth + 1, -k)
             correct = functools.partial(
                 self._correction, k, t, x, dig_k, dig_mk, depth + 2)
-            for lane, sums in self._pass(B, Mm, depth + 2, 1, correct):
+            for lane, sums in self._pass(B, Mm, 1, correct):
                 total[lane] += (self._outer_coef(t[lane]) / Mm) * sums
                 del sums
             scratch.release(frame)

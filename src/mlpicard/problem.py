@@ -212,41 +212,49 @@ def builtin_gaussian_bump_data(kappa: float, dimension: int) -> DataFunction:
     return DataFunction(eval=_eval, sup_bound_kappa=abs(kappa))
 
 
-# name -> (required parameter or None, builder): the names config files use
-_NONLINEARITIES = {
-    "allen_cahn": (None, builtin_allen_cahn),
-    "linear": ("a", builtin_linear),
-    "sine": (None, builtin_sine),
+# kind -> name -> (parameter or None, its default or None if a caller must
+# set it, builder): the one place that says which builtins config files
+# name and which parameter each reads
+_BUILTINS = {
+    "nonlinearity": {
+        "allen_cahn": (None, None, builtin_allen_cahn),
+        "linear": ("a", None, builtin_linear),
+        "sine": (None, None, builtin_sine),
+    },
+    "data": {
+        "constant": ("value", 2.0,
+                     lambda value, dimension: builtin_constant_data(value)),
+        "cosine_mean": ("kappa", None, builtin_cosine_mean_data),
+        "gaussian_bump": ("kappa", None, builtin_gaussian_bump_data),
+    },
 }
-_DATA = {
-    "constant": ("value", lambda value, dimension: builtin_constant_data(value)),
-    "cosine_mean": ("kappa", builtin_cosine_mean_data),
-    "gaussian_bump": ("kappa", builtin_gaussian_bump_data),
-}
-NONLINEARITY_NAMES = tuple(_NONLINEARITIES)
-DATA_NAMES = tuple(_DATA)
+
+
+def builtin_parameters(kind: str) -> dict:
+    """{name: (the parameter it reads or None, its default or None)} for
+    each builtin of kind ("nonlinearity" or "data"), in registry order."""
+    return {name: entry[:2] for name, entry in _BUILTINS[kind].items()}
 
 
 def builtin_nonlinearity(name: str, **params) -> Nonlinearity:
-    return _build_builtin("nonlinearity", _NONLINEARITIES, name, params)
+    return _build_builtin("nonlinearity", name, params)
 
 
 def builtin_data(name: str, dimension: int, **params) -> DataFunction:
-    return _build_builtin("data", _DATA, name, params, dimension)
+    return _build_builtin("data", name, params, dimension)
 
 
-def _build_builtin(kind, registry, name, params, *args):
+def _build_builtin(kind, name, params, *args):
+    registry = _BUILTINS[kind]
     if name not in registry:
         raise ValueError(f"unknown {kind} {name!r}; known: {', '.join(registry)}")
-    param, build = registry[name]
-    value = params.pop(param, None) if param else None
+    param, default, build = registry[name]
+    value = params.pop(param, default)  # None if the builtin reads none
     if params:
-        raise ValueError(f"unexpected parameters for {name}: {sorted(params)}")
-    if param is None:
-        return build(*args)
-    if value is None:
+        raise ValueError(f"{name} {kind} reads no parameter {', '.join(params)}")
+    if param is not None and value is None:
         raise ValueError(f"{name} {kind} needs parameter {param}")
-    return build(float(value), *args)
+    return build(*args) if param is None else build(float(value), *args)
 
 
 def make_problem(
@@ -256,16 +264,12 @@ def make_problem(
     nonlinearity: Optional[Nonlinearity] = None,
     data: Optional[DataFunction] = None,
 ) -> PdeProblem:
-    """Convenience builder; defaults to Allen-Cahn with constant datum 2."""
-    if nonlinearity is None:
-        nonlinearity = builtin_allen_cahn()
-    if data is None:
-        data = builtin_constant_data(2.0)
+    """Convenience builder; defaults to Allen-Cahn with the constant datum
+    at its default value."""
     return PdeProblem(
         dimension=dimension,
         horizon=horizon,
         orientation=orientation,
-        nonlinearity=nonlinearity,
-        data=data,
+        nonlinearity=nonlinearity or builtin_allen_cahn(),
+        data=data or builtin_data("constant", dimension),
     )
-

@@ -126,10 +126,10 @@ dimension    = 1            # integer >= 1
 horizon      = 0.5          # T > 0
 orientation  = forward      # forward | backward
 nonlinearity = allen_cahn   # allen_cahn | linear | sine
-a            =              # coefficient, linear nonlinearity only
+a            =              # coefficient; read by linear
 data         = constant     # constant | cosine_mean | gaussian_bump
-value        = 2.0          # datum value, constant data only
-kappa        =              # datum amplitude, cosine_mean/gaussian_bump only
+value        =              # datum value; read by constant (default 2.0)
+kappa        =              # datum amplitude; read by cosine_mean | gaussian_bump
 
 [estimator]
 levels       = 1            # n >= 0
@@ -228,6 +228,28 @@ def test_missing_problem_parameter_exits_2(tmp_path, capsys, text, message):
     code, out, err = run(capsys, "estimate", "--config", str(cfg))
     assert code == 2
     assert "config error" in err and message in err
+    assert "value_mean" not in out
+
+
+@pytest.mark.parametrize("text, key, builtin", [
+    ("a = 5\n", "a", "allen_cahn"),
+    ("a = 5\nkappa = 3\n", "a", "allen_cahn"),
+    ("nonlinearity = sine\na = 5\n", "a", "sine"),
+    ("kappa = 3\n", "kappa", "constant"),
+    ("data = cosine_mean\nkappa = 1\nvalue = 7\n", "value", "cosine_mean"),
+    ("data = gaussian_bump\nkappa = 1\nvalue = 7\n", "value",
+     "gaussian_bump"),
+], ids=["a-allen_cahn", "a-kappa-default", "a-sine", "kappa-constant",
+        "value-cosine_mean", "value-gaussian_bump"])
+def test_a_problem_key_the_chosen_builtins_do_not_read_exits_2(
+        tmp_path, capsys, text, key, builtin):
+    # a key set for a builtin that is not chosen is refused, not dropped
+    cfg = tmp_path / "unread.ini"
+    cfg.write_text("[problem]\n" + text, encoding="utf-8")
+    code, out, err = run(capsys, "estimate", "--config", str(cfg))
+    assert code == 2
+    assert "config error" in err
+    assert f"{builtin} " in err and f"reads no parameter {key}" in err
     assert "value_mean" not in out
 
 

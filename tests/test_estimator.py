@@ -461,7 +461,7 @@ def test_each_pass_drops_its_sums_before_the_next_tile(monkeypatch):
     original = estimator._Engine._pass
     earlier = []
 
-    def watched(self, lanes, m, depth, sign, sample):
+    def watched(self, lanes, m, sign, sample):
         def checked(*args):
             alive = sum(ref() is not None for ref in earlier)
             assert not alive, f"{alive} earlier arrays still alive"
@@ -469,7 +469,7 @@ def test_each_pass_drops_its_sums_before_the_next_tile(monkeypatch):
             earlier.append(weakref.ref(values))
             return values
 
-        for item in original(self, lanes, m, depth, sign, checked):
+        for item in original(self, lanes, m, sign, checked):
             if isinstance(item[1], np.ndarray):
                 earlier.append(weakref.ref(item[1]))
             yield item

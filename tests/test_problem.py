@@ -17,6 +17,7 @@ from mlpicard.problem import (
     builtin_data,
     builtin_linear,
     builtin_nonlinearity,
+    builtin_parameters,
     builtin_sine,
     eval_truncated_f,
     make_problem,
@@ -102,8 +103,10 @@ def test_data_registry():
     const = builtin_data("constant", 3, value=2.0)
     assert const.constant_value == 2.0
     assert const.sup_bound_kappa == 2.0
-    with pytest.raises(ValueError):
-        builtin_data("constant", 3)
+    # the constant datum's value has a default; kappa has none
+    assert builtin_data("constant", 3).constant_value == 2.0
+    with pytest.raises(ValueError, match="needs parameter kappa"):
+        builtin_data("cosine_mean", 3)
     with pytest.raises(ValueError):
         builtin_data("cosine_mean", 3, kappa=1.0, extra=1)
     with pytest.raises(ValueError):
@@ -113,6 +116,27 @@ def test_data_registry():
             builtin_data("constant", 3, value=bad)
         with pytest.raises(ValueError, match="finite"):
             builtin_data("gaussian_bump", 3, kappa=bad)
+
+
+def test_a_parameter_the_builtin_does_not_read_is_refused():
+    # a key meant for another builtin must not be dropped silently
+    with pytest.raises(ValueError, match="allen_cahn nonlinearity reads no "
+                                         "parameter a"):
+        builtin_nonlinearity("allen_cahn", a=1.0)
+    with pytest.raises(ValueError, match="constant data reads no parameter "
+                                         "kappa"):
+        builtin_data("constant", 1, kappa=1.0)
+    with pytest.raises(ValueError, match="cosine_mean data reads no parameter "
+                                         "value"):
+        builtin_data("cosine_mean", 1, kappa=1.0, value=7.0)
+
+
+def test_builtin_parameters_name_each_builtin_its_parameter_and_default():
+    assert builtin_parameters("nonlinearity") == {
+        "allen_cahn": (None, None), "linear": ("a", None), "sine": (None, None)}
+    assert builtin_parameters("data") == {
+        "constant": ("value", 2.0), "cosine_mean": ("kappa", None),
+        "gaussian_bump": ("kappa", None)}
 
 
 def test_cosine_and_bump_respect_kappa():

@@ -186,3 +186,53 @@ def test_names_in_strings_comments_and_definitions_are_not_uses():
                 "Xi", "Sigma", "np", "Pi", "Phi"} & names
     assert list(defined_names(text)) == [("alpha", "alpha"), ("Delta", "Delta"),
                                          ("Delta.eta", "eta")]
+
+
+def unread_params(text):
+    # (label, parameter) of each parameter of a private module-level
+    # function or of a method (self and cls aside) that its body never
+    # reads; a read in a nested closure counts, but the closure's own
+    # parameters are not checked: the builtins' eval callables take the
+    # protocol's (t, x, u) whether or not they read them
+    for node in ast.parse(text).body:
+        functions = []
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            functions.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{item.name}", item)
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)]
+        for label, fn in functions:
+            args = fn.args
+            read = {name.id for stmt in fn.body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name)
+                    and isinstance(name.ctx, ast.Load)}
+            yield from ((label, arg.arg)
+                        for arg in (*args.posonlyargs, *args.args,
+                                    *args.kwonlyargs, args.vararg, args.kwarg)
+                        if arg is not None and arg.arg not in ("self", "cls")
+                        and arg.arg not in read)
+
+
+def test_every_parameter_of_a_private_function_or_method_is_read():
+    unread = [f"{label}.{param}" for text in _sources("src")
+              for label, param in unread_params(text)]
+    assert not unread, f"parameters no body reads: {unread}"
+
+
+def test_unread_params_checks_private_functions_and_methods_only():
+    text = ("def alpha(x):\n"
+            "    pass\n"
+            "def _beta(x, y, *rest, key):\n"
+            "    def inner(t, u):\n"
+            "        return y\n"
+            "    x = 1\n"
+            "    return inner, rest\n"
+            "class Gamma:\n"
+            "    def delta(self, v):\n"
+            "        return self\n"
+            "    @classmethod\n"
+            "    def _eta(cls, w):\n"
+            "        return w\n")
+    assert list(unread_params(text)) == [
+        ("_beta", "x"), ("_beta", "key"), ("Gamma.delta", "v")]
