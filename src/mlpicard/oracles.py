@@ -7,7 +7,9 @@ estimator with machinery that cannot be wrong in the same way.
     solution of either orientation is constant in x and solves y' = f(y).
     Classical fixed-step RK4 with a step-doubling self-check.
   * 1-D finite differences for d/dt u = u_xx + f(u): implicit diffusion
-    (unconditionally stable) plus explicit reaction (IMEX), reaction
+    (unconditionally stable), solved in Fourier space on either boundary
+    (numpy's FFT; a Neumann grid through its even extension, the DCT-I),
+    plus explicit reaction (IMEX), reaction
     substep by the explicit trapezoid rule so spatially constant states
     follow the ODE reduction to second order in dt.  The explicit part
     needs dt < 2 / sup|f'(u)| along the solution; the solver does not know
@@ -169,10 +171,24 @@ class FdOracle1d:
 @dataclass(frozen=True)
 class FdSolution:
     t: float
-    x: np.ndarray
     values: np.ndarray
+    oracle: FdOracle1d
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.oracle.grid()
 
     def at(self, point: float) -> float:
+        """Linear interpolation of the grid values.  A periodic grid wraps
+        at its seam; a point outside a Neumann domain is a ValueError."""
+        half_width = self.oracle.half_width
+        if self.oracle.boundary is Boundary.PERIODIC:
+            return float(np.interp(point, self.x, self.values,
+                                   period=2.0 * half_width))
+        if not -half_width <= point <= half_width:
+            raise ValueError(
+                f"point must lie in [-{half_width}, {half_width}], got {point}"
+            )
         return float(np.interp(point, self.x, self.values))
 
     @property
@@ -183,16 +199,16 @@ class FdSolution:
 def fd_solve_1d(problem: PdeProblem, oracle: FdOracle1d, t: float) -> FdSolution:
     """Grid approximation of u(t, .) for the forward d = 1 problem.
 
-    Diffusion steps implicitly (tridiagonal solve for Neumann, Fourier
-    solve for periodic), the reaction explicitly.  The effective step is
-    t/ceil(t/dt) <= dt.  NaN/inf or |u| > 1e10 aborts with a suggested dt.
+    Diffusion steps implicitly, the reaction explicitly.  The effective
+    step is t/ceil(t/dt) <= dt.  NaN/inf or |u| > 1e10 aborts with a
+    suggested dt.
 
-    The Neumann solve calls LAPACK's ``dgtsv`` directly, the routine
-    ``scipy.linalg.solve_banded`` uses for one band each side, without
-    its per-call validation.  ``scipy.linalg`` is imported on the first
-    Neumann solve, so processes that never make one do not load LAPACK.
-    A datum that is not finite on the grid, or a grid so fine that
-    dt/dx^2 is not finite, is a ValueError.
+    Both boundaries share one diffusion solve: a real FFT, a division by
+    the eigenvalues of (I - dt Lap) and the inverse FFT.  A Neumann grid
+    is solved through its even extension (a DCT-I; Strang, SIAM Review
+    41, 1999), so its values agree with a tridiagonal solve to rounding,
+    not bit for bit.  A datum that is not finite on the grid, or a grid so
+    fine that dt/dx^2 is not finite, is a ValueError.
     """
     if problem.orientation is not Orientation.FORWARD:
         raise ValueError("fd_solve_1d expects the forward orientation")
@@ -206,7 +222,7 @@ def fd_solve_1d(problem: PdeProblem, oracle: FdOracle1d, t: float) -> FdSolution
     if not np.all(np.isfinite(u)):
         raise ValueError("the datum is not finite on the FD grid")
     if t == 0.0:
-        return FdSolution(0.0, x, u)
+        return FdSolution(0.0, u, oracle)
 
     steps = max(1, math.ceil(t / oracle.dt))
     dt = t / steps
@@ -219,26 +235,13 @@ def fd_solve_1d(problem: PdeProblem, oracle: FdOracle1d, t: float) -> FdSolution
     nl = problem.nonlinearity
     J = oracle.grid_points
 
-    if oracle.boundary is Boundary.NEUMANN:
-        from scipy.linalg.lapack import dgtsv
-
-        # (I - dt Lap) by its three diagonals; mirrored ghosts give zero flux
-        dl = np.full(J - 1, -alpha)
-        dl[-1] = -2.0 * alpha
-        d = np.full(J, 1.0 + 2.0 * alpha)
-        du = np.full(J - 1, -alpha)
-        du[0] = -2.0 * alpha
-
-        def solver(rhs):
-            *_, sol, info = dgtsv(dl, d, du, rhs, overwrite_b=True)
-            if info != 0:
-                raise OracleError(f"tridiagonal solve failed, LAPACK info {info}")
-            return sol
-    else:
-        # periodic: (I - dt Lap) is circulant, solve in Fourier space
-        modes = np.arange(J // 2 + 1)
-        eig = 1.0 + alpha * (2.0 - 2.0 * np.cos(2.0 * np.pi * modes / J))
-        solver = lambda rhs: np.fft.irfft(np.fft.rfft(rhs) / eig, n=J)
+    # (I - dt Lap) is circulant on a periodic grid; with mirrored ghosts it
+    # is the circulant operator on the Neumann nodes' even extension, of
+    # period 2(J - 1).  Either way its Fourier modes diagonalise it.
+    neumann = oracle.boundary is Boundary.NEUMANN
+    period = 2 * (J - 1) if neumann else J
+    modes = np.arange(period // 2 + 1)
+    eig = 1.0 + alpha * (2.0 - 2.0 * np.cos(2.0 * np.pi * modes / period))
 
     time = 0.0
     for _ in range(steps):
@@ -246,14 +249,17 @@ def fd_solve_1d(problem: PdeProblem, oracle: FdOracle1d, t: float) -> FdSolution
         fu = np.asarray(nl.eval(time, x[:, None], u), dtype=np.float64)
         pred = u + dt * fu
         fp = np.asarray(nl.eval(time + dt, x[:, None], pred), dtype=np.float64)
-        u = solver(u + 0.5 * dt * (fu + fp))
+        rhs = u + 0.5 * dt * (fu + fp)
+        if neumann:
+            rhs = np.concatenate((rhs, rhs[-2:0:-1]))
+        u = np.fft.irfft(np.fft.rfft(rhs) / eig, n=period)[:J]
         time += dt
         if not np.abs(u).max() <= 1e10:  # also true for NaN
             raise OracleError(
                 f"FD blow-up at t={time:.6g}; the explicit reaction step is "
                 f"unstable here, retry with dt <= {dt / 4.0:g}"
             )
-    return FdSolution(t, x, u)
+    return FdSolution(t, u, oracle)
 
 
 def fd_refinement_gap(problem: PdeProblem, oracle: FdOracle1d, t: float) -> float:

@@ -202,19 +202,20 @@ def test_fd_non_finite_reaction_is_oracle_error_on_both_boundaries():
 
 # Mirror of fd_solve_1d at grid indices (0, J//4, J//2, J-1) and of
 # fd_refinement_gap, as float.hex: (f, datum, kappa, half_width, J, dt,
-# boundary, t, values, gap).  Pins the tridiagonal and Fourier solves bit
-# for bit; the high-d cosine_mean reference will rest on them.  Re-pinned
-# when Allen-Cahn moved from u - u**3 to u - u * u * u: the periodic row's
-# J//4 value moved by 8e-31 and its gap by 1.9e-15; nothing else moved.
+# boundary, t, values, gap).  Pins the one Fourier diffusion solve bit for
+# bit on both boundaries; test_fd_cosine_mode_matches_discrete_growth is
+# the check that those bits are right.  The Neumann rows were re-pinned
+# when that solve replaced a tridiagonal one and moved their values by
+# rounding only (at most 2.9e-13 at J = 201 and 5.6e-14 at J = 41).
 FD_MIRROR = [
     ("allen_cahn", "cosine_mean", 2.0, 6.0, 201, 1e-4, Boundary.NEUMANN, 0.1,
-     ("0x1.60019d9bd92b6p+0", "-0x1.820b33de5d1b2p+0",
-      "0x1.84a391449db23p+0", "0x1.60019d9bd93fap+0"),
-     "0x1.580834fb16000p-13"),
+     ("0x1.60019d9bd914ep+0", "-0x1.820b33de5d248p+0",
+      "0x1.84a391449d667p+0", "0x1.60019d9bd92d5p+0"),
+     "0x1.580834e5da000p-13"),
     ("sine", "gaussian_bump", 1.5, 6.0, 41, 5e-4, Boundary.NEUMANN, 0.25,
-     ("0x1.a4c8abb5d3f2ep-23", "0x1.054d56a678936p-6",
-      "0x1.4a813ff17a072p+0", "0x1.a4c8abb5d3f7fp-23"),
-     "0x1.420473b7ee200p-8"),
+     ("0x1.a4c8ac1000000p-23", "0x1.054d56a676dfap-6",
+      "0x1.4a813ff179fc0p+0", "0x1.a4c8ac8800000p-23"),
+     "0x1.420473b7fe000p-8"),
     ("allen_cahn", "cosine_mean", 1.0, math.pi, 64, 5e-4, Boundary.PERIODIC,
      0.25,
      ("-0x1.aca57cecdacd0p-1", "0x1.97afabfb78569p-49",
@@ -254,9 +255,15 @@ def _fresh_interpreter(code):
 
 
 def test_import_leaves_lapack_unloaded():
-    # only a Neumann FD solve imports scipy.linalg
+    # neither an import nor an FD solve on either boundary loads scipy.linalg
     assert _fresh_interpreter(
-        "import sys, mlpicard, mlpicard.cli; "
+        "import sys, mlpicard, mlpicard.cli\n"
+        "from mlpicard.oracles import Boundary, FdOracle1d, fd_solve_1d\n"
+        "from mlpicard.problem import make_problem\n"
+        "prob = make_problem(dimension=1, horizon=0.5)\n"
+        "for boundary in Boundary:\n"
+        "    fd_solve_1d(prob, FdOracle1d(half_width=6.0, grid_points=41,\n"
+        "                                 dt=1e-3, boundary=boundary), 0.01)\n"
         "print('scipy.linalg' in sys.modules)") == "False"
 
 
@@ -285,6 +292,53 @@ def test_fd_grid_geometry_and_interpolation():
     periodic = FdOracle1d(half_width=2.0, grid_points=4, dt=1e-3,
                           boundary=Boundary.PERIODIC)
     assert periodic.dx == 1.0
+
+
+def _cosine_problem(a, kappa):
+    return make_problem(dimension=1, horizon=0.5,
+                        nonlinearity=builtin_nonlinearity("linear", a=a),
+                        data=builtin_data("cosine_mean", 1, kappa=kappa))
+
+
+def test_fd_periodic_interpolation_wraps_at_the_seam():
+    oracle = FdOracle1d(half_width=math.pi, grid_points=64, dt=1e-3,
+                        boundary=Boundary.PERIODIC)
+    sol = fd_solve_1d(_cosine_problem(0.0, 1.0), oracle, 0.0)
+    # halfway between the last node and the first one, a period on
+    got = sol.at(math.pi - oracle.dx / 2.0)
+    assert got == pytest.approx((sol.values[-1] + sol.values[0]) / 2.0,
+                                abs=1e-15)
+    assert got == pytest.approx(-0.997592, abs=1e-6)
+    assert sol.at(3.0 * math.pi) == sol.at(math.pi) == sol.values[0]
+
+
+def test_fd_neumann_interpolation_refuses_points_outside_the_domain():
+    oracle = FdOracle1d(half_width=math.pi, grid_points=65, dt=1e-3)
+    sol = fd_solve_1d(_cosine_problem(0.0, 1.0), oracle, 0.0)
+    assert sol.at(math.pi) == sol.values[-1]
+    for outside in (10.0, -math.pi - 1e-9, math.nan):
+        with pytest.raises(ValueError, match="point"):
+            sol.at(outside)
+
+
+@pytest.mark.parametrize("boundary, J", [
+    (Boundary.NEUMANN, 41), (Boundary.NEUMANN, 201),
+    (Boundary.PERIODIC, 40), (Boundary.PERIODIC, 200)])
+def test_fd_cosine_mode_matches_discrete_growth(boundary, J):
+    # cos(x_i) is an eigenvector of the discrete Laplacian on both grids
+    # (eigenvalue -(2 - 2 cos dx)/dx^2), so with f(u) = a u each step
+    # multiplies it by the trapezoid factor over the implicit diffusion one
+    a, kappa, t = -0.7, 1.5, 0.1
+    oracle = FdOracle1d(half_width=math.pi, grid_points=J, dt=1e-3,
+                        boundary=boundary)
+    sol = fd_solve_1d(_cosine_problem(a, kappa), oracle, t)
+    steps = math.ceil(t / oracle.dt)
+    h = t / steps
+    alpha = h / oracle.dx**2
+    g = (1.0 + a * h + (a * h) ** 2 / 2.0) / (
+        1.0 + alpha * (2.0 - 2.0 * math.cos(oracle.dx)))
+    exact = kappa * g**steps * np.cos(oracle.grid())
+    assert np.max(np.abs(sol.values - exact)) <= 1e-12 * kappa * g**steps
 
 
 # Feynman-Kac fixed point ----------------------------------------------------

@@ -1,9 +1,11 @@
 """Dead-API guard: every package definition has a caller outside the tests,
-and every defaulted parameter a call there that passes it."""
+and every defaulted parameter a call there that passes it.  Import guard:
+the package imports no third-party module but numpy and scipy.special."""
 
 import ast
 import math
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -236,3 +238,46 @@ def test_unread_params_checks_private_functions_and_methods_only():
             "        return w\n")
     assert list(unread_params(text)) == [
         ("_beta", "x"), ("_beta", "key"), ("Gamma.delta", "v")]
+
+
+# the third-party modules the package may import, with their submodules
+ALLOWED_IMPORTS = ("numpy", "scipy.special")
+
+
+def imported_modules(text):
+    # each module or name an import anywhere in text names, inside
+    # functions too, as a dotted path; relative imports are this package's
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def _allowed(module):
+    top = module.split(".")[0]
+    return (top in sys.stdlib_module_names or top == "mlpicard"
+            or any(module == allowed or module.startswith(allowed + ".")
+                   for allowed in ALLOWED_IMPORTS))
+
+
+def test_package_imports_only_numpy_and_scipy_special():
+    foreign = sorted({module for text in _sources("src")
+                      for module in imported_modules(text)
+                      if not _allowed(module)})
+    assert not foreign, f"imports besides {ALLOWED_IMPORTS}: {foreign}"
+
+
+def test_imported_modules_sees_nested_and_from_imports():
+    text = ("import numpy as np, os.path\n"
+            "from . import oracles\n"
+            "from scipy.special import ndtri\n"
+            "def alpha():\n"
+            "    from scipy.linalg.lapack import dgtsv\n"
+            "    import scipy\n"
+            "    from scipy import special\n")
+    modules = list(imported_modules(text))
+    assert modules == ["numpy", "os.path", "scipy.special.ndtri",
+                       "scipy.linalg.lapack.dgtsv", "scipy", "scipy.special"]
+    assert [m for m in modules if not _allowed(m)] == [
+        "scipy.linalg.lapack.dgtsv", "scipy"]
