@@ -25,9 +25,7 @@ r >= rho_min; it is computed regardless.
 
 from __future__ import annotations
 
-import bisect
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -40,13 +38,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 class CapExceededError(RuntimeError):
     """Raised when ``LevelBounds.select`` finds no admissible level under
-    its cap."""
-
-    def __init__(self, message, epsilon, n_max, smallest_bound):
-        super().__init__(message)
-        self.epsilon = epsilon
-        self.n_max = n_max
-        self.smallest_bound = smallest_bound
+    its cap n_max; the message says why and gives the bound at n_max."""
 
 
 @dataclass(frozen=True)
@@ -183,7 +175,6 @@ class LevelBounds:
     computed once (``level_bounds``) and read for any epsilon."""
 
     bounds: tuple  # error_bound(m, m, r) for m = 1..n_max
-    suffix_sup: tuple  # suffix_sup[i] = max(bounds[i:]), nonincreasing
 
     def select(self, epsilon: float) -> int:
         """Least n with bounds[m] <= epsilon for all m in [n, n_max].
@@ -191,52 +182,45 @@ class LevelBounds:
         The true rule takes a supremum over all m >= n; the scan caps it at
         n_max and additionally requires the bound sequence to be
         nonincreasing on the last three levels, a finite proxy for the
-        vanishing tail.  When the cap binds (no level qualifies, or the tail
-        is not settling) a CapExceededError reports the smallest achieved
-        bound.
+        vanishing tail.  It scans down from n_max to the last level whose
+        bound exceeds epsilon and returns the level above it (1 when no
+        bound does).  When the cap binds a CapExceededError is raised: its
+        message names n_max and the last three bounds when the tail is not
+        settling, else epsilon, n_max and the bound at n_max, which then
+        exceeds epsilon.
         """
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
         bounds, n_max = self.bounds, len(self.bounds)
-        smallest = self.suffix_sup[-1]
         if not bounds[-3] >= bounds[-2] >= bounds[-1]:
             raise CapExceededError(
                 f"cap exceeded: bound sequence not decreasing at n_max={n_max} "
                 f"(tail {bounds[-3]:.3e}, {bounds[-2]:.3e}, {bounds[-1]:.3e}); "
-                "the capped scan cannot stand in for the tail supremum",
-                epsilon, n_max, smallest,
-            )
-        # the first suffix supremum at or below epsilon, by bisection
-        n = bisect.bisect_left(self.suffix_sup, -epsilon, key=operator.neg) + 1
-        if n > n_max:
+                "the capped scan cannot stand in for the tail supremum")
+        if not bounds[-1] <= epsilon:
             raise CapExceededError(
                 f"cap exceeded: no level n <= {n_max} achieves bound <= "
-                f"{epsilon:.3e} (smallest achieved bound {smallest:.3e})",
-                epsilon, n_max, smallest,
-            )
+                f"{epsilon:.3e} (bound at n_max {bounds[-1]:.3e})")
+        n = n_max
+        while n > 1 and bounds[n - 2] <= epsilon:
+            n -= 1
         return n
 
 
 def level_bounds(consts: BoundConstants, n_max: int = 64) -> LevelBounds:
     """error_bound(m, m, r) for m = 1..n_max, at r the a-priori bound of
-    ``consts`` (rho_min of their problem), and their suffix suprema.
-    n_max must lie in [3, N_MAX_LIMIT]; it is checked before any bound is
-    computed."""
+    ``consts`` (rho_min of their problem).  n_max must lie in
+    [3, N_MAX_LIMIT]; it is checked before any bound is computed."""
     if not 3 <= n_max <= N_MAX_LIMIT:
         raise ValueError(
             f"n_max must lie in [3, {N_MAX_LIMIT}], got {n_max}")
     r = apriori_sup_bound(consts.coercivity_c, consts.kappa, consts.horizon)
-    bounds = [error_bound(consts, m, m, r) for m in range(1, n_max + 1)]
-    suffix_sup = list(bounds)
-    for i in range(n_max - 2, -1, -1):
-        suffix_sup[i] = max(suffix_sup[i], suffix_sup[i + 1])
-    return LevelBounds(tuple(bounds), tuple(suffix_sup))
+    return LevelBounds(tuple(error_bound(consts, m, m, r)
+                             for m in range(1, n_max + 1)))
 
 
-def cumulative_cost(d: int, N: int, K: int = 0) -> int:
-    """Total model cost of running the diagonal family n = M = 1..N+K."""
+def cumulative_cost(d: int, N: int) -> int:
+    """Total model cost of running the diagonal family n = M = 1..N."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
-    return sum(cost_recursion(d, n, n) for n in range(1, N + K + 1))
+    return sum(cost_recursion(d, n, n) for n in range(1, N + 1))

@@ -69,7 +69,10 @@ _parse_int_list = _parser(lambda raw: tuple(map(int, raw.split(","))),
                           "a comma list of integers")
 _parse_float_list = _parser(lambda raw: tuple(map(float, raw.split(","))),
                             "a comma list of numbers")
-_parse_word = _parser(str.strip, "a word")
+# diagonal (M = n) is None
+_parse_branching = _parser(
+    lambda raw: None if raw.strip() == "diagonal" else int(raw),
+    "diagonal or an integer")
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ CONFIG_KEYS = (
     ConfigKey("estimator", "levels", "1", _parse_int, "n >= 0"),
     ConfigKey("estimator", "n_list", "", _parse_int_list,
               "comma list, converge only (overrides levels)"),
-    ConfigKey("estimator", "branching", "diagonal", _parse_word,
+    ConfigKey("estimator", "branching", "diagonal", _parse_branching,
               "diagonal (M = n) | integer >= 1"),
     ConfigKey("estimator", "radius", "", _parse_float,
               "estimate and converge; default rho_min(problem)"),
@@ -158,8 +161,6 @@ CONFIG_KEYS = (
               "0.5,0.25,0.125,0.0625,0.03125,0.015625", _parse_float_list),
     ConfigKey("experiment", "delta", "1.0", _parse_float,
               "sweep exponent offset, > 0"),
-    ConfigKey("experiment", "k_offset", "0", _parse_int,
-              "extra levels accumulated past N(epsilon)"),
     ConfigKey("experiment", "n_max", "64", _parse_int,
               "level-selection cap"),
     ConfigKey("experiment", "constants", "problem",
@@ -264,15 +265,6 @@ def build_problem(config: RunConfig) -> PdeProblem:
     )
 
 
-def resolve_branching(config: RunConfig, levels: int) -> int:
-    if config.branching == "diagonal":
-        return max(levels, 1)
-    M = _parse_int(config.branching, "[estimator] branching")
-    if M < 1:
-        raise ConfigError(f"[estimator] branching must be >= 1, got {M}")
-    return M
-
-
 def resolve_point(config: RunConfig, prob: PdeProblem):
     t = prob.horizon if config.t is None else config.t
     if len(config.x) == 1:
@@ -318,14 +310,12 @@ def _ode_oracle(config: RunConfig, prob: PdeProblem) -> oracles.OdeOracle:
 
 def cmd_estimate(config: RunConfig, out: Optional[str], threads: int) -> int:
     prob = build_problem(config)
-    M = resolve_branching(config, config.levels)
+    M = max(config.levels, 1) if config.branching is None else config.branching
     r = bounds.rho_min(prob) if config.radius is None else config.radius
     params = MlpParams(levels=config.levels, branching=M,
                        truncation_radius=r, seed=config.seed)
     t, x = resolve_point(config, prob)
     K = config.repetitions
-    if K < 1:
-        raise ConfigError(f"[estimator] repetitions must be >= 1, got {K}")
     results = estimate_batch(prob, params, t, x, K, worker_count=threads)
     values = np.array([res.value for res in results])
     mean = float(values.mean())
@@ -355,7 +345,9 @@ def cmd_converge(config: RunConfig, out: Optional[str], threads: int) -> int:
     t, x = resolve_point(config, prob)
     oracle_value = oracles.ode_solve(ode, t)
     n_list = config.n_list if config.n_list is not None else (0, 1, 2, 3, 4)
-    K = max(config.repetitions, 2)
+    # the default K = 1 gives no standard error, so it runs as K = 2;
+    # rmse_vs_oracle refuses any other K < 2
+    K = 2 if config.repetitions == 1 else config.repetitions
     rows = experiments.rmse_vs_oracle(
         prob, oracle_value, t, x, n_list, K=K, seed=config.seed,
         worker_count=threads, radius_override=config.radius,
@@ -390,7 +382,7 @@ def cmd_sweep(config: RunConfig, out: Optional[str], threads: int) -> int:
     try:
         result = experiments.epsilon_sweep(
             consts, config.delta, config.epsilon_list, config.d_list,
-            k_offset=config.k_offset, n_max=config.n_max,
+            n_max=config.n_max,
         )
     except bounds.CapExceededError as exc:
         if config.constants == "surrogate":
@@ -398,8 +390,7 @@ def cmd_sweep(config: RunConfig, out: Optional[str], threads: int) -> int:
         # the default problem's bound (T = 0.5) still rises at n_max = 64
         raise bounds.CapExceededError(
             f"{exc}; set [experiment] constants = surrogate, or use a shorter "
-            "[problem] horizon (T = 0.05 selects 37-43 levels)",
-            exc.epsilon, exc.n_max, exc.smallest_bound) from exc
+            "[problem] horizon (T = 0.05 selects 37-43 levels)") from exc
     path = out or "sweep.csv"
     experiments.write_rows(path, experiments.SweepRow, result.rows)
     print(f"sweep: {len(result.rows)} rows -> {path}; "
@@ -425,10 +416,9 @@ def cmd_oracle(config: RunConfig, out: Optional[str], threads: int) -> int:
         return 0
     fd = oracles.FdOracle1d(
         half_width=config.half_width, grid_points=config.grid_points,
-        dt=config.dt,
-        boundary=oracles.Boundary(config.boundary),
+        dt=config.dt, boundary=config.boundary,
     )
-    t = prob.horizon if config.t is None else config.t
+    t, _ = resolve_point(config, prob)
     sol = oracles.fd_solve_1d(prob, fd, t)
     rows = [(repr(t), repr(float(xi)), repr(float(vi)))
             for xi, vi in zip(sol.x, sol.values)]

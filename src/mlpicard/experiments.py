@@ -208,7 +208,6 @@ def epsilon_sweep(
     delta: float,
     epsilon_list: Sequence[float],
     d_list: Sequence[int],
-    k_offset: int = 0,
     n_max: int = 64,
 ) -> SweepResult:
     """Levels and cumulative model cost over an accuracy grid.
@@ -224,7 +223,7 @@ def epsilon_sweep(
     for eps in epsilon_list:
         levels = table.select(eps)
         for d in d_list:
-            total = cumulative_cost(d, levels, k_offset)
+            total = cumulative_cost(d, levels)
             scaled = total * eps ** (2.0 + delta) / d
             rows.append(
                 SweepRow(

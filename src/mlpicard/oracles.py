@@ -149,6 +149,8 @@ class FdOracle1d:
     boundary: Boundary = Boundary.NEUMANN
 
     def __post_init__(self):
+        # a boundary word is converted; an unknown one is a ValueError
+        object.__setattr__(self, "boundary", Boundary(self.boundary))
         if not 0.0 < self.half_width < math.inf:
             raise ValueError(
                 f"half_width must be finite and > 0, got {self.half_width}"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mlpicard.bounds import (
     BoundConstants,
     CapExceededError,
+    LevelBounds,
     apriori_sup_bound,
     cost_bound,
     cost_recursion,
@@ -111,14 +112,13 @@ def test_cost_recursion_no_wraparound_at_large_inputs():
 
 
 def test_cumulative_cost_telescoping_and_offset():
-    assert cumulative_cost(1, 1, 0) == cost_recursion(1, 1, 1) == 3
+    assert cumulative_cost(1, 1) == cost_recursion(1, 1, 1) == 3
     for d in (1, 10):
         for N in range(1, 6):
-            lhs = cumulative_cost(d, N + 1, 0) - cumulative_cost(d, N, 0)
+            lhs = cumulative_cost(d, N + 1) - cumulative_cost(d, N)
             assert lhs == cost_recursion(d, N + 1, N + 1)
-            assert cumulative_cost(d, N, 2) == cumulative_cost(d, N + 2, 0)
     with pytest.raises(ValueError):
-        cumulative_cost(1, 0, 0)
+        cumulative_cost(1, 0)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 5])
@@ -163,9 +163,31 @@ def test_select_levels_cap_error_carries_diagnostics():
     consts = surrogate_constants()
     with pytest.raises(CapExceededError) as err:
         level_bounds(consts, 10).select(1e-6)
-    assert err.value.epsilon == 1e-6
-    assert err.value.n_max == 10
-    assert err.value.smallest_bound > 1e-6
+    # e^5 10^-5 = 1.484e-3 is the surrogate bound at n_max = 10
+    assert str(err.value) == (
+        "cap exceeded: no level n <= 10 achieves bound <= 1.000e-06 "
+        "(bound at n_max 1.484e-03)")
+
+
+_BOUND = st.one_of(st.floats(min_value=0.0, max_value=4.0),
+                   st.sampled_from([0.0, 0.5, 1.0, math.inf]))
+
+
+@given(st.lists(_BOUND, min_size=3, max_size=12),
+       st.one_of(st.floats(min_value=1e-3, max_value=1.0),
+                 st.sampled_from([0.5, 1.0])))
+@settings(max_examples=300, deadline=None)
+def test_select_matches_the_brute_force_rule(bounds, eps):
+    # the least n with max(bounds[n-1:]) <= eps, or the cap error when the
+    # last three bounds are not nonincreasing or no such n exists
+    decreasing = bounds[-3] >= bounds[-2] >= bounds[-1]
+    admissible = [n for n in range(1, len(bounds) + 1)
+                  if max(bounds[n - 1:]) <= eps]
+    if decreasing and admissible:
+        assert LevelBounds(tuple(bounds)).select(eps) == admissible[0]
+    else:
+        with pytest.raises(CapExceededError):
+            LevelBounds(tuple(bounds)).select(eps)
 
 
 def test_select_levels_rejects_bad_epsilon():

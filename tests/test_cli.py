@@ -148,7 +148,6 @@ d_list       = 1,10,100     # scale and sweep
 n            = 3            # scale: fixed n = M
 epsilon_list = 0.5,0.25,0.125,0.0625,0.03125,0.015625
 delta        = 1.0          # sweep exponent offset, > 0
-k_offset     = 0            # extra levels accumulated past N(epsilon)
 n_max        = 64           # level-selection cap
 constants    = problem      # problem | surrogate (kappa=1, f0=0, T=1, L=0)
 
@@ -313,6 +312,49 @@ def test_levels_past_int64_sample_indices_exit_2(tmp_path, capsys):
     assert code == 2
     assert "below 2**63" in err
     assert "value_mean" not in out
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("estimate", "foo"), ("cost", "foo"), ("estimate", "0"),
+])
+def test_bad_branching_exits_2(tmp_path, capsys, command, raw):
+    # branching is parsed with the config, so every command refuses a word
+    # other than diagonal; M < 1 is refused before any run
+    cfg = tmp_path / "branching.ini"
+    cfg.write_text(f"[estimator]\nbranching = {raw}\n", encoding="utf-8")
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, command, "--config", str(cfg),
+                         "--out", str(out_path))
+    assert code == 2
+    assert "config error" in err and "branching" in err
+    assert out == "" and not out_path.exists()
+
+
+def test_sweep_config_with_k_offset_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "offset.ini"
+    cfg.write_text("[experiment]\nconstants = surrogate\nk_offset = 0\n",
+                   encoding="utf-8")
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "sweep", "--config", str(cfg),
+                         "--out", str(out_path))
+    assert code == 2
+    assert "unknown key 'k_offset'" in err
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("repetitions", ["0", "-3"])
+def test_converge_with_fewer_than_one_repetition_exits_2(tmp_path, capsys,
+                                                         repetitions):
+    # only the default K = 1 runs as K = 2; no table is written otherwise
+    cfg = tmp_path / "reps.ini"
+    cfg.write_text(f"[estimator]\nrepetitions = {repetitions}\n",
+                   encoding="utf-8")
+    out_path = tmp_path / "conv.csv"
+    code, out, err = run(capsys, "converge", "--config", str(cfg),
+                         "--out", str(out_path))
+    assert code == 2
+    assert f"K must be >= 2 for a standard error, got {repetitions}" in err
+    assert out == "" and not out_path.exists()
 
 
 def test_missing_config_file_exits_2(capsys):

@@ -294,6 +294,24 @@ def test_fd_grid_geometry_and_interpolation():
     assert periodic.dx == 1.0
 
 
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+def test_fd_boundary_word_builds_the_same_grid_as_the_member(boundary):
+    # the word is converted, not read as "not Neumann", so a Neumann grid
+    # keeps dx = 1.0 and reaches the right edge
+    word = FdOracle1d(half_width=2.0, grid_points=5, dt=1e-3,
+                      boundary=boundary)
+    member = FdOracle1d(half_width=2.0, grid_points=5, dt=1e-3,
+                        boundary=Boundary(boundary))
+    assert word == member
+    assert word.boundary is Boundary(boundary)
+
+
+def test_fd_unknown_boundary_word_is_value_error():
+    with pytest.raises(ValueError, match="'dirichlet' is not a valid"):
+        FdOracle1d(half_width=2.0, grid_points=5, dt=1e-3,
+                   boundary="dirichlet")
+
+
 def _cosine_problem(a, kappa):
     return make_problem(dimension=1, horizon=0.5,
                         nonlinearity=builtin_nonlinearity("linear", a=a),
