@@ -14,8 +14,9 @@ Exit codes (fixed contract for scripting):
         non-finite estimate or a-priori bound)
     4   level-selection cap exceeded
 
-Every subcommand honors --seed, --threads and --out; --threads (default 1)
-affects wall time only, never values.
+Each subcommand takes only the flags it reads, as _COMMANDS declares them,
+and argparse refuses any other; --threads (default 1) affects wall time
+only, never values.
 With a fixed config and seed, emitted CSVs are byte-identical across runs
 and thread counts, wall-time columns excluded.
 """
@@ -143,8 +144,8 @@ CONFIG_KEYS = (
     _builtin_parameter("data", "value", "datum value"),
     _builtin_parameter("data", "kappa", "datum amplitude"),
     ConfigKey("estimator", "levels", "1", _parse_int, "n >= 0"),
-    ConfigKey("estimator", "n_list", "", _parse_int_list,
-              "comma list, converge only (overrides levels)"),
+    ConfigKey("estimator", "n_list", "0,1,2,3,4", _parse_int_list,
+              "converge only"),
     ConfigKey("estimator", "branching", "diagonal", _parse_branching,
               "diagonal (M = n) | integer >= 1"),
     ConfigKey("estimator", "radius", "", _parse_float,
@@ -308,7 +309,7 @@ def _ode_oracle(config: RunConfig, prob: PdeProblem) -> oracles.OdeOracle:
 # subcommands ---------------------------------------------------------------
 
 
-def cmd_estimate(config: RunConfig, out: Optional[str], threads: int) -> int:
+def cmd_estimate(config: RunConfig, threads: int) -> int:
     prob = build_problem(config)
     M = max(config.levels, 1) if config.branching is None else config.branching
     r = bounds.rho_min(prob) if config.radius is None else config.radius
@@ -344,12 +345,11 @@ def cmd_converge(config: RunConfig, out: Optional[str], threads: int) -> int:
     ode = _ode_oracle(config, prob)
     t, x = resolve_point(config, prob)
     oracle_value = oracles.ode_solve(ode, t)
-    n_list = config.n_list if config.n_list is not None else (0, 1, 2, 3, 4)
     # the default K = 1 gives no standard error, so it runs as K = 2;
     # rmse_vs_oracle refuses any other K < 2
     K = 2 if config.repetitions == 1 else config.repetitions
     rows = experiments.rmse_vs_oracle(
-        prob, oracle_value, t, x, n_list, K=K, seed=config.seed,
+        prob, oracle_value, t, x, config.n_list, K=K, seed=config.seed,
         worker_count=threads, radius_override=config.radius,
     )
     path = out or "convergence.csv"
@@ -374,7 +374,7 @@ def cmd_scale(config: RunConfig, out: Optional[str], threads: int) -> int:
     return 0
 
 
-def cmd_sweep(config: RunConfig, out: Optional[str], threads: int) -> int:
+def cmd_sweep(config: RunConfig, out: Optional[str]) -> int:
     if config.constants == "surrogate":
         consts = bounds.surrogate_constants()
     else:
@@ -401,7 +401,7 @@ def cmd_sweep(config: RunConfig, out: Optional[str], threads: int) -> int:
 CURVE_HEADER = ("t", "x", "value")
 
 
-def cmd_oracle(config: RunConfig, out: Optional[str], threads: int) -> int:
+def cmd_oracle(config: RunConfig, out: Optional[str]) -> int:
     prob = build_problem(config)
     path = out or "oracle.csv"
     if config.oracle_kind == "ode":
@@ -427,25 +427,18 @@ def cmd_oracle(config: RunConfig, out: Optional[str], threads: int) -> int:
     return 0
 
 
-def cmd_cost(config: RunConfig, out: Optional[str], threads: int) -> int:
+def cmd_cost(out: Optional[str]) -> int:
     path = out or "cost.csv"
-    rows = []
-    violations = 0
-    for d in (1, 10, 100):
-        for n in range(1, 7):
-            for M in range(1, 7):
-                model = bounds.cost_recursion(d, n, M)
-                bound = bounds.cost_bound(d, n, M)
-                if model > bound:
-                    violations += 1
-                rows.append((d, n, M, model, bound))
+    rows = [(d, n, M, bounds.cost_recursion(d, n, M), bounds.cost_bound(d, n, M))
+            for d in (1, 10, 100) for n in range(1, 7) for M in range(1, 7)]
+    violations = sum(model > bound for *_, model, bound in rows)
     experiments.write_csv(path, ("d", "n", "M", "cost_model", "cost_bound"),
                           rows)
     print(f"cost: {len(rows)} rows -> {path}; bound violations: {violations}")
     return 0 if violations == 0 else 3
 
 
-def cmd_selftest(config: RunConfig, out: Optional[str], threads: int) -> int:
+def cmd_selftest() -> int:
     checks = []
 
     golden = importlib.resources.files(__package__) / "golden_rng.txt"
@@ -495,17 +488,29 @@ def cmd_selftest(config: RunConfig, out: Optional[str], threads: int) -> int:
     return 0 if not failed else 3
 
 
-# name: (handler, help line), in the order --help lists them
+# dest: the add_argument keywords of --dest
+_FLAGS = {
+    "config": dict(help="path to a configuration file"),
+    "seed": dict(type=int, help="override [estimator] seed"),
+    "threads": dict(type=int, default=1, help="worker threads (default 1)"),
+    "out": dict(help="output CSV path"),
+}
+
+# name: (handler, the dests of the flags it reads, help line), in the order
+# --help lists them; argparse refuses any other flag
 _COMMANDS = {
-    "estimate": (cmd_estimate,
+    "estimate": (cmd_estimate, "config seed threads",
                  "run the estimator at one point, print mean and SE"),
-    "converge": (cmd_converge,
+    "converge": (cmd_converge, "config seed threads out",
                  "RMSE-vs-oracle table over levels -> convergence.csv"),
-    "scale": (cmd_scale, "draw counts across dimensions -> scaling.csv"),
-    "sweep": (cmd_sweep, "levels and model cost over accuracies -> sweep.csv"),
-    "oracle": (cmd_oracle, "reference curve (ode or fd) -> oracle.csv"),
-    "cost": (cmd_cost, "cost model vs closed-form bound table -> cost.csv"),
-    "selftest": (cmd_selftest, "golden RNG values and basic invariants"),
+    "scale": (cmd_scale, "config seed threads out",
+              "draw counts across dimensions -> scaling.csv"),
+    "sweep": (cmd_sweep, "config out",
+              "levels and model cost over accuracies -> sweep.csv"),
+    "oracle": (cmd_oracle, "config out",
+               "reference curve (ode or fd) -> oracle.csv"),
+    "cost": (cmd_cost, "out", "cost model vs closed-form bound table -> cost.csv"),
+    "selftest": (cmd_selftest, "", "golden RNG values and basic invariants"),
 }
 
 
@@ -518,36 +523,34 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--help-config", action="store_true",
                         help="print the configuration file grammar and exit")
     sub = parser.add_subparsers(dest="command")
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, flags, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", default=None,
-                         help="path to a configuration file")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override [estimator] seed")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads (default 1)")
-        cmd.add_argument("--out", default=None,
-                         help="output CSV path (commands that write one)")
+        for dest in flags.split():
+            cmd.add_argument(f"--{dest}", **_FLAGS[dest])
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    if args.help_config:
+    args = vars(parser.parse_args(argv))
+    if args.pop("help_config"):
         print(CONFIG_GRAMMAR, end="")
         return 0
-    if args.command is None:
+    command = args.pop("command")
+    if command is None:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-        if args.threads < 1:
-            raise ConfigError(f"thread count must be >= 1, got {args.threads}")
-        handler, _ = _COMMANDS[args.command]
-        return handler(config, args.out, args.threads)
+        # the handler takes the command's flags by dest, except that
+        # --config and --seed give it one RunConfig
+        seed = args.pop("seed", None)
+        if "config" in args:
+            args["config"] = load_config(args["config"])
+            if seed is not None:
+                args["config"] = dataclasses.replace(args["config"], seed=seed)
+        if args.get("threads", 1) < 1:
+            raise ConfigError(f"thread count must be >= 1, got {args['threads']}")
+        return _COMMANDS[command][0](**args)
     except (ConfigError, ValueError) as exc:
         print(f"mlpicard: config error: {exc}", file=sys.stderr)
         return 2

@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -532,10 +533,12 @@ def estimate_batch(
             np.full(B, float(t)), np.broadcast_to(x, (B, d)),
             absorb_vec(root, 1, reps))
 
-    if worker_count == 1 or len(starts) == 1:
+    # at most one thread per chunk and one per CPU (os.cpu_count, not the
+    # affinity mask), whatever worker_count asks for
+    workers = min(worker_count, len(starts), os.cpu_count() or 1)
+    if workers == 1:
         chunks = [run_chunk(s) for s in starts]
     else:
-        workers = min(worker_count, len(starts))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_chunk, starts))
 

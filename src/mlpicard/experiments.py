@@ -18,7 +18,6 @@ import csv
 import math
 import time
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -130,10 +129,12 @@ class ScalingResult:
 
 
 def _affine_exact(ds: Sequence[int], values: Sequence[int]) -> bool:
-    # the line through the first two points, in integer arithmetic; the
-    # caller rejects repeated dimensions, so ds[1] != ds[0]
-    slope = Fraction(values[1] - values[0], ds[1] - ds[0])
-    return all(v == values[0] + slope * (d - ds[0]) for d, v in zip(ds, values))
+    # the line through the first two points, cross-multiplied so that it
+    # stays in integers; the caller rejects repeated dimensions, so
+    # ds[1] != ds[0]
+    (d0, d1), (v0, v1) = ds[:2], values[:2]
+    return all((v - v0) * (d1 - d0) == (v1 - v0) * (d - d0)
+               for d, v in zip(ds, values))
 
 
 def dimension_scaling(

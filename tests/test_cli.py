@@ -94,7 +94,24 @@ def test_config_parse_errors_name_the_key_and_the_value(section, key, raw,
     assert str(err.value) == message
 
 
-def test_subcommands_their_help_lines_and_common_options():
+# each command's flags
+FLAGS = {
+    "estimate": ("--config", "--seed", "--threads"),
+    "converge": ("--config", "--seed", "--threads", "--out"),
+    "scale": ("--config", "--seed", "--threads", "--out"),
+    "sweep": ("--config", "--out"),
+    "oracle": ("--config", "--out"),
+    "cost": ("--out",),
+    "selftest": (),
+}
+# flag: (a command-line value, its parsed value, the default)
+FLAG_VALUES = {"--config": ("run.ini", "run.ini", None),
+               "--seed": ("5", 5, None),
+               "--threads": ("2", 2, 1),
+               "--out": ("table.csv", "table.csv", None)}
+
+
+def test_subcommands_their_help_lines_and_flags():
     parser = build_arg_parser()
     sub, = (action for action in parser._actions
             if isinstance(action, argparse._SubParsersAction))
@@ -107,15 +124,36 @@ def test_subcommands_their_help_lines_and_common_options():
         ("cost", "cost model vs closed-form bound table -> cost.csv"),
         ("selftest", "golden RNG values and basic invariants"),
     ]
-    assert list(sub.choices) == [choice.dest for choice in sub._choices_actions]
-    for name in sub.choices:
-        args = parser.parse_args([name, "--config", "run.ini", "--seed", "5",
-                                  "--threads", "2", "--out", "table.csv"])
-        assert (args.command, args.config, args.seed, args.threads,
-                args.out) == (name, "run.ini", 5, 2, "table.csv")
-        args = parser.parse_args([name])
-        assert (args.config, args.seed, args.threads, args.out) == (
-            None, None, 1, None)
+    assert list(sub.choices) == list(FLAGS)
+    # 16 of the 28 (command, flag) slots
+    assert sum(map(len, FLAGS.values())) == 16
+    for name, flags in FLAGS.items():
+        # --help lists exactly these flags
+        assert {option for action in sub.choices[name]._actions
+                for option in action.option_strings} == {
+            "-h", "--help", *flags}
+        args = parser.parse_args(
+            [name, *(word for flag in flags
+                     for word in (flag, FLAG_VALUES[flag][0]))])
+        assert vars(args) == {"help_config": False, "command": name, **{
+            flag[2:]: FLAG_VALUES[flag][1] for flag in flags}}
+        assert vars(parser.parse_args([name])) == {
+            "help_config": False, "command": name,
+            **{flag[2:]: FLAG_VALUES[flag][2] for flag in flags}}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in FLAGS.items()
+    for flag in FLAG_VALUES if flag not in flags])
+def test_a_flag_the_command_does_not_read_exits_2(capsys, command, flag):
+    # refused by argparse before any config is read or file written
+    value = FLAG_VALUES[flag][0]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, flag, value])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
 HELP_CONFIG = """\
@@ -133,7 +171,7 @@ kappa        =              # datum amplitude; read by cosine_mean | gaussian_bu
 
 [estimator]
 levels       = 1            # n >= 0
-n_list       =              # comma list, converge only (overrides levels)
+n_list       = 0,1,2,3,4    # converge only
 branching    = diagonal     # diagonal (M = n) | integer >= 1
 radius       =              # estimate and converge; default rho_min(problem)
 repetitions  = 1            # K >= 1
@@ -315,16 +353,17 @@ def test_levels_past_int64_sample_indices_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, raw", [
-    ("estimate", "foo"), ("cost", "foo"), ("estimate", "0"),
+    ("estimate", "foo"), ("sweep", "foo"), ("estimate", "0"),
 ])
 def test_bad_branching_exits_2(tmp_path, capsys, command, raw):
-    # branching is parsed with the config, so every command refuses a word
-    # other than diagonal; M < 1 is refused before any run
+    # branching is parsed with the config, so a command that reads a config
+    # but not branching refuses a word other than diagonal too; M < 1 is
+    # refused before any run
     cfg = tmp_path / "branching.ini"
     cfg.write_text(f"[estimator]\nbranching = {raw}\n", encoding="utf-8")
     out_path = tmp_path / "out.csv"
-    code, out, err = run(capsys, command, "--config", str(cfg),
-                         "--out", str(out_path))
+    out_flag = ["--out", str(out_path)] if command == "sweep" else []
+    code, out, err = run(capsys, command, "--config", str(cfg), *out_flag)
     assert code == 2
     assert "config error" in err and "branching" in err
     assert out == "" and not out_path.exists()
@@ -506,7 +545,7 @@ def test_sweep_at_the_hinted_horizon_selects_37_to_43_levels(tmp_path, capsys):
 
 
 def test_bad_thread_count_exits_2(capsys):
-    code, _, err = run(capsys, "selftest", "--threads", "0")
+    code, _, err = run(capsys, "estimate", "--threads", "0")
     assert code == 2
     assert "thread" in err
 

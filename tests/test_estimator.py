@@ -261,7 +261,9 @@ def test_caller_point_is_never_written(monkeypatch):
 
 
 def _recording_pool(monkeypatch):
-    # the max_workers of every pool estimate_batch starts, in order
+    # the max_workers of every pool estimate_batch starts, in order, on a
+    # host with more CPUs than any of these tests asks for workers
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 64)
     requested = []
 
     class RecordingPool(estimator.ThreadPoolExecutor):
@@ -284,6 +286,40 @@ def test_batch_pool_starts_no_more_workers_than_chunks(monkeypatch):
     assert requested == [10]
     serial = estimate_batch(prob, params, 0.5, np.zeros(3), 10)
     assert [r.value for r in wide] == [r.value for r in serial]
+
+
+@pytest.mark.parametrize("cpus, requested", [(3, [3]), (None, [])],
+                         ids=["3-cpus", "unknown-cpus"])
+def test_batch_pool_starts_no_more_workers_than_cpus(monkeypatch, cpus,
+                                                     requested):
+    # 10^5 workers for 10 one-lane chunks get os.cpu_count() threads, or
+    # run serially when it is unknown; the fake pool maps serially, so
+    # the test starts no thread
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(estimator, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: cpus)
+    prob = forward_problem(d=3, data=builtin_data("cosine_mean", 3, kappa=1.0))
+    params = params_for(2, 2, seed=6)
+    wide = estimate_batch(prob, params, 0.5, np.zeros(3), 10,
+                          worker_count=10**5)
+    assert pools == requested
+    serial = estimate_batch(prob, params, 0.5, np.zeros(3), 10)
+    assert [(r.value, r.tally) for r in wide] == [
+        (r.value, r.tally) for r in serial]
 
 
 def test_batch_gives_every_worker_a_chunk(monkeypatch):

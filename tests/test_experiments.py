@@ -114,6 +114,9 @@ def test_dimension_scaling_exact_affinity_and_ratio():
 def test_affine_check_rejects_a_point_off_the_line():
     assert _affine_exact([1, 3, 7], [10, 14, 22])
     assert not _affine_exact([1, 3, 7], [10, 14, 23])
+    # a slope of 1/2: the line runs through (6, 4) but not through (5, 3)
+    assert _affine_exact([0, 2, 6], [1, 2, 4])
+    assert not _affine_exact([0, 2, 5], [1, 2, 3])
     # above 2**53 a float fit would round this one-draw miss away
     assert float(2**53 + 5) == float(2**53 + 4)
     assert not _affine_exact([0, 1, 2], [2**53, 2**53 + 2, 2**53 + 5])

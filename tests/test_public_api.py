@@ -192,13 +192,15 @@ def test_names_in_strings_comments_and_definitions_are_not_uses():
 
 def unread_params(text):
     # (label, parameter) of each parameter of a private module-level
-    # function or of a method (self and cls aside) that its body never
-    # reads; a read in a nested closure counts, but the closure's own
-    # parameters are not checked: the builtins' eval callables take the
-    # protocol's (t, x, u) whether or not they read them
+    # function, a CLI handler (cmd_*, so that none takes a flag it does not
+    # read) or a method (self and cls aside) that its body never reads; a
+    # read in a nested closure counts, but the closure's own parameters are
+    # not checked: the builtins' eval callables take the protocol's
+    # (t, x, u) whether or not they read them
     for node in ast.parse(text).body:
         functions = []
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+        if (isinstance(node, ast.FunctionDef)
+                and node.name.startswith(("_", "cmd_"))):
             functions.append((node.name, node))
         if isinstance(node, ast.ClassDef):
             functions += [(f"{node.name}.{item.name}", item)
@@ -225,6 +227,8 @@ def test_every_parameter_of_a_private_function_or_method_is_read():
 def test_unread_params_checks_private_functions_and_methods_only():
     text = ("def alpha(x):\n"
             "    pass\n"
+            "def cmd_zeta(config, out):\n"
+            "    return config\n"
             "def _beta(x, y, *rest, key):\n"
             "    def inner(t, u):\n"
             "        return y\n"
@@ -237,7 +241,8 @@ def test_unread_params_checks_private_functions_and_methods_only():
             "    def _eta(cls, w):\n"
             "        return w\n")
     assert list(unread_params(text)) == [
-        ("_beta", "x"), ("_beta", "key"), ("Gamma.delta", "v")]
+        ("cmd_zeta", "out"), ("_beta", "x"), ("_beta", "key"),
+        ("Gamma.delta", "v")]
 
 
 # the third-party modules the package may import, with their submodules
