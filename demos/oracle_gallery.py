@@ -1,11 +1,11 @@
-"""The three independent reference solvers and what each certifies.
+"""What the FD oracle and the fixed-point residual certify.
 
-ODE: constant data make the PDE solution space-constant, so a guarded
-Runge-Kutta integration of y' = f(y) gives near-exact point values.
 FD: a one-dimensional finite-difference solve handles non-constant data
 and certifies the growth envelope e^(ct) sqrt(1 + kappa^2) on sup|u|.
 Residual: a Monte Carlo fixed-point test accepts or rejects a candidate
-solution without ever solving anything, so it cross-checks the other two.
+solution without ever solving anything, so it cross-checks the ODE
+reference (`mlpicard oracle --config demos/ode_reference.ini`) and the FD
+solve.
 """
 
 import numpy as np
@@ -13,31 +13,16 @@ import numpy as np
 from mlpicard.bounds import apriori_sup_bound
 from mlpicard.oracles import (
     FdOracle1d,
-    OdeOracle,
-    allen_cahn_constant_solution,
-    allen_cahn_reference,
     fd_refinement_gap,
     fd_solve_1d,
     fixed_point_residual,
     max_principle_check,
-    ode_solve,
 )
 from mlpicard.problem import builtin_cosine_mean_data, make_problem
 
 
 def main():
-    prob = make_problem(dimension=1, horizon=0.5)
-
-    print("ODE oracle vs closed form (datum 2):")
-    ode = OdeOracle(f=lambda y: y - y ** 3, u0=2.0, horizon=0.5)
-    for t in (0.1, 0.25, 0.5):
-        rk = ode_solve(ode, t)
-        exact = allen_cahn_constant_solution(2.0, t)
-        print(f"  t={t:<5} rk4={rk:.12f}  closed={exact:.12f}  "
-              f"diff={abs(rk - exact):.2e}")
-    print(f"  gated reference: {allen_cahn_reference(2.0, 0.5):.12f}")
-
-    print("\nFD oracle, cosine datum, growth envelope check:")
+    print("FD oracle, cosine datum, growth envelope check:")
     cosine = make_problem(dimension=1, horizon=0.5,
                           data=builtin_cosine_mean_data(2.0, 1))
     oracle = FdOracle1d(half_width=6.0, grid_points=201, dt=1e-4)
@@ -54,6 +39,7 @@ def main():
           f"(worst margin {report.worst_margin:+.3f})")
 
     print("\nfixed-point residual (accepts truth, rejects a 0.1 shift):")
+    prob = make_problem(dimension=1, horizon=0.5)
 
     def u_ref(ts, xs):
         ts = np.asarray(ts, dtype=np.float64)

@@ -518,10 +518,12 @@ def estimate_batch(
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
     x = _validate_point(problem, t, x)
     n, M, d = params.levels, params.branching, problem.dimension
-    per_lane = max(1, M**n * max(d, 1))
+    # at most one thread per CPU (os.cpu_count, not the affinity mask),
+    # whatever worker_count asks for
+    workers = min(worker_count, os.cpu_count() or 1)
     # at least min(K, workers) chunks, so that every worker gets one
-    chunk = int(np.clip(_CHUNK_BUDGET // per_lane, 1,
-                        -(-repetitions // worker_count)))
+    chunk = int(np.clip(_CHUNK_BUDGET // (M**n * d), 1,
+                        -(-repetitions // workers)))
     starts = list(range(0, repetitions, chunk))
     root = np.array([path_digest(params.seed, ())], dtype=np.uint64)
 
@@ -533,9 +535,7 @@ def estimate_batch(
             np.full(B, float(t)), np.broadcast_to(x, (B, d)),
             absorb_vec(root, 1, reps))
 
-    # at most one thread per chunk and one per CPU (os.cpu_count, not the
-    # affinity mask), whatever worker_count asks for
-    workers = min(worker_count, len(starts), os.cpu_count() or 1)
+    workers = min(workers, len(starts))
     if workers == 1:
         chunks = [run_chunk(s) for s in starts]
     else:

@@ -88,7 +88,7 @@ def _report(num: int, label: str, ok: bool, detail: str = ""):
 # is indistinguishable at the root, and below level 4 no nested value
 # depends on it; at t = T/2 it moves the level-3 mean by ~0.16.
 #
-# At T = 0.1 (the contractive horizon of README and convergence_table.py) the
+# At T = 0.1 (the contractive horizon of README and convergence_table.ini) the
 # iterates' errors against the ODE reference fall monotonically (0.390,
 # 0.210, 0.054, 0.012, 0.002), so there the estimator's RMSE over
 # n = M = 1..5 must not rise by more than 20% from one level to the next.

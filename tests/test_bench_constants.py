@@ -22,7 +22,9 @@ def workloads(monkeypatch):
 def test_lanes_per_chunk_is_what_estimate_batch_runs(monkeypatch, tmp_path,
                                                       workloads, name):
     # one op of the workload, at its own thread count, with the lanes of
-    # every _Engine.run it makes, by level
+    # every _Engine.run it makes, by level, on a host with more CPUs than
+    # any workload asks for workers
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 64)
     runs = []
     run = estimator._Engine.run
 

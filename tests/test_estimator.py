@@ -228,7 +228,9 @@ def test_repetitions_are_independent_of_the_batch_around_them(monkeypatch):
         (r.value, r.tally) for r in short]
 
 
-def test_batch_bit_identical_across_worker_counts():
+def test_batch_bit_identical_across_worker_counts(monkeypatch):
+    # on a host with 8 CPUs, so that 4 and 8 workers run 2- and 1-lane chunks
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 8)
     prob = forward_problem(d=3)
     params = params_for(3, 3, seed=5)
     runs = {
@@ -288,13 +290,9 @@ def test_batch_pool_starts_no_more_workers_than_chunks(monkeypatch):
     assert [r.value for r in wide] == [r.value for r in serial]
 
 
-@pytest.mark.parametrize("cpus, requested", [(3, [3]), (None, [])],
-                         ids=["3-cpus", "unknown-cpus"])
-def test_batch_pool_starts_no_more_workers_than_cpus(monkeypatch, cpus,
-                                                     requested):
-    # 10^5 workers for 10 one-lane chunks get os.cpu_count() threads, or
-    # run serially when it is unknown; the fake pool maps serially, so
-    # the test starts no thread
+def _serial_pool(monkeypatch, cpus):
+    # the max_workers of every pool estimate_batch starts, on a host with
+    # cpus CPUs; the fake pool maps serially, so no thread is started
     pools = []
 
     class SerialPool:
@@ -312,12 +310,44 @@ def test_batch_pool_starts_no_more_workers_than_cpus(monkeypatch, cpus,
 
     monkeypatch.setattr(estimator, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(estimator.os, "cpu_count", lambda: cpus)
+    return pools
+
+
+@pytest.mark.parametrize("cpus, requested", [(3, [3]), (None, [])],
+                         ids=["3-cpus", "unknown-cpus"])
+def test_batch_pool_starts_no_more_workers_than_cpus(monkeypatch, cpus,
+                                                     requested):
+    # 10^5 workers for 10 repetitions get os.cpu_count() threads, each with
+    # a chunk of at most 4 lanes, or one serial chunk when it is unknown
+    pools = _serial_pool(monkeypatch, cpus)
     prob = forward_problem(d=3, data=builtin_data("cosine_mean", 3, kappa=1.0))
     params = params_for(2, 2, seed=6)
     wide = estimate_batch(prob, params, 0.5, np.zeros(3), 10,
                           worker_count=10**5)
     assert pools == requested
     serial = estimate_batch(prob, params, 0.5, np.zeros(3), 10)
+    assert [(r.value, r.tally) for r in wide] == [
+        (r.value, r.tally) for r in serial]
+
+
+def test_batch_sizes_chunks_for_the_workers_it_can_start(monkeypatch):
+    # 1000 workers on 2 CPUs run 2 chunks of 500 lanes, not 1000 one-lane
+    # chunks on 2 threads
+    pools = _serial_pool(monkeypatch, 2)
+    lanes = []
+    run = estimator._Engine.run
+
+    def recorded(self, t, x, digests):
+        lanes.append(t.shape[0])
+        return run(self, t, x, digests)
+
+    monkeypatch.setattr(estimator._Engine, "run", recorded)
+    prob = forward_problem(d=1, data=builtin_data("cosine_mean", 1, kappa=1.0))
+    params = params_for(4, 4, seed=3)
+    wide = estimate_batch(prob, params, 0.5, np.zeros(1), 1000,
+                          worker_count=1000)
+    assert pools == [2] and lanes == [500, 500]
+    serial = estimate_batch(prob, params, 0.5, np.zeros(1), 1000)
     assert [(r.value, r.tally) for r in wide] == [
         (r.value, r.tally) for r in serial]
 
