@@ -40,11 +40,15 @@ digests, its time and scale, and a child's result), so a tile holds
 node digests of its own pairs, draws their times, takes their standard
 deviations, draws, smears and evaluates their d-vectors, and reduces the
 results to its lanes' sums, which the pass yields to its frame before the
-next tile starts; the frame drops them before that tile runs.  So no
-array of lanes * M^k elements is formed: a frame keeps one result per
-lane, and a run holds at most one tile and one node per frame on the
-deepest path, whatever K and M^n are.  A node is part of a lane that
-spans tiles: such a lane is summed along numpy's own pairwise tree
+next tile starts; the frame drops them before that tile runs.  A
+correction at k >= 2 runs an M-th of a tile's rows at a time: its pairs
+are the lanes of its children, whose passes fold at least M samples per
+lane, so that many fill a child's tile.  So no array of lanes * M^k
+elements is formed: a frame keeps one result per lane, and a run holds
+at most one node per frame on the deepest path and 2 + (n - 2) / M
+tiles, one for a level-1 correction, one for its child and an M-th of
+one for each correction above, whatever K and M^n are.  A node is part
+of a lane that spans tiles: such a lane is summed along numpy's own pairwise tree
 (``_PAIRWISE_BLOCK``), split where numpy splits it until a node holds at
 most max(rows, 128) results, each node gathered tile by tile and reduced
 in one call, and sibling nodes added as numpy adds them.  So its sum has
@@ -100,8 +104,8 @@ _CHUNK_BUDGET = 1 << 22
 
 # elements per tile (1 MB, 4 * randomness._BLOCK), counting everything its
 # rows hold: the recursion draws, evaluates and reduces its (lane, m) pairs
-# one tile at a time, so a frame holds at most one tile and a run at most
-# one per frame on the deepest path
+# one tile at a time, so a frame holds at most one tile (an M-th of one at a
+# correction from k = 2 on, _Engine._tile_rows)
 _TILE = 1 << 17
 
 # numpy sums a contiguous float64 run along a pairwise tree (pairwise_sum in
@@ -294,23 +298,35 @@ class _Engine:
         # (lane, m) pairs per tile, d + _ROW_EXTRA elements each
         return max(1, _TILE // (self.d + _ROW_EXTRA))
 
+    def _tile_rows(self, k):
+        # (lane, m) pairs per tile of a level-0 pass (k = 0) or of the level-k
+        # correction pass.  From k = 2 on, a tile's pairs are the lanes of
+        # its level-k and level-(k - 1) children, whose passes fold at least
+        # M samples per lane, so rows // M of them fill a child's tile; more
+        # would only keep their points in the store while the children run.
+        # A level-1 correction keeps full tiles: capped, each of its level-1
+        # children runs one short data tile, and an op took ~8% longer
+        if k < 2:
+            return self._rows()
+        return max(1, self._rows() // self.params.branching)
+
     def _node(self):
         # the longest run of a spanning lane that is reduced in one call
         return max(self._rows(), _PAIRWISE_BLOCK)
 
-    def _pass(self, lanes, m, sign, sample):
+    def _pass(self, lanes, m, sign, sample, rows):
         # yields (lane, sums) for a slice of the lanes and their sums over
         # the pass, each reduced as if the pass were one array.
         # sample(lane, elems) gives the results of one tile's (lane, m)
-        # pairs, whose digests absorb the sample indices elems = sign *
-        # (j.start + 1 .. j.stop) at the depth sample holds; the tile's
-        # takes are released once the caller has used the sums.  Tiles of
-        # whole lanes all absorb sign * (1..m); a lane that spans tiles is
-        # summed by _span_sum
-        rows = self._rows()
+        # pairs, at most rows of them, whose digests absorb the sample
+        # indices elems = sign * (j.start + 1 .. j.stop) at the depth sample
+        # holds; the tile's takes are released once the caller has used the
+        # sums.  Tiles of whole lanes all absorb sign * (1..m); a lane that
+        # spans tiles is summed by _span_sum
         if m > rows:
             for b in range(lanes):
-                yield slice(b, b + 1), self._span_sum(b, 0, m, sign, sample)
+                yield slice(b, b + 1), self._span_sum(b, 0, m, sign, sample,
+                                                      rows)
             return
         scratch = self.scratch
         elems = sign * _samples(slice(0, m))
@@ -323,17 +339,18 @@ class _Engine:
                                       axis=1)
             scratch.release(tile)
 
-    def _span_sum(self, b, lo, hi, sign, sample):
+    def _span_sum(self, b, lo, hi, sign, sample, rows):
         # lane b's sum over its samples lo + 1 .. hi, along numpy's pairwise
         # tree: a run longer than _node() is the sum of its two halves, a
-        # shorter one is gathered tile by tile into one take and reduced in
-        # one call.  So the sum has the bits of one reduction over the
-        # lane, and no take holds more than _node() results
+        # shorter one is gathered tile by tile, rows at a time, into one
+        # take and reduced in one call.  So the sum has the bits of one
+        # reduction over the lane, and no take holds more than _node()
+        # results
         if hi - lo > self._node():
             cut = lo + _pairwise_half(hi - lo)
-            return (self._span_sum(b, lo, cut, sign, sample)
-                    + self._span_sum(b, cut, hi, sign, sample))
-        scratch, rows = self.scratch, self._rows()
+            return (self._span_sum(b, lo, cut, sign, sample, rows)
+                    + self._span_sum(b, cut, hi, sign, sample, rows))
+        scratch = self.scratch
         start = scratch.mark()
         node = scratch.take((hi - lo,), np.float64)
         tile = scratch.mark()
@@ -355,9 +372,9 @@ class _Engine:
             return lanes
         if (n, lanes) in seen:
             return seen[n, lanes]
-        M, d, rows = self.params.branching, self.d, self._rows()
+        M, d = self.params.branching, self.d
 
-        def first_tile(m):
+        def first_tile(m, rows):
             # a spanning pass's largest node, then the rows of its first
             # tile, the largest of the pass
             if m > rows:
@@ -367,10 +384,10 @@ class _Engine:
 
         # level 0: the results and dig_zero, then a spanning pass's node and
         # the tile's digests, points and, for the f samples, times and scales
-        node, r = first_tile(M**n)
+        node, r = first_tile(M**n, self._tile_rows(0))
         peak = 2 * lanes + node + r * (d + (1 if self.skip_f0 else 3))
         for k in range(1, n):
-            node, r = first_tile(M ** (n - k))
+            node, r = first_tile(M ** (n - k), self._tile_rows(k))
             # the lanes' digests at k (and -k from k = 2), the node, then
             # d + _ROW_EXTRA elements per tile row (no -k digest at k = 1),
             # the last of them the level-k child's results, and above them
@@ -431,7 +448,8 @@ class _Engine:
             self.data_evals += len(pts)
             return data.eval(pts)
 
-        for lane, sums in self._pass(B, Mn, -1, data_sample):
+        rows = self._tile_rows(0)
+        for lane, sums in self._pass(B, Mn, -1, data_sample, rows):
             np.divide(sums, Mn, out=total[lane])
             del sums  # not kept through the next tile's recursion
 
@@ -445,7 +463,7 @@ class _Engine:
                 self.f_evals += len(pts)
                 return nl.eval(r, pts, np.zeros(len(pts)))
 
-            for lane, sums in self._pass(B, Mn, 1, f_sample):
+            for lane, sums in self._pass(B, Mn, 1, f_sample, rows):
                 total[lane] += self._outer_coef(t[lane]) * (sums / Mn)
                 del sums
         scratch.release(frame)
@@ -461,7 +479,8 @@ class _Engine:
                 dig_mk = self._absorb(digests[:, None], depth + 1, -k)
             correct = functools.partial(
                 self._correction, k, t, x, dig_k, dig_mk, depth + 2)
-            for lane, sums in self._pass(B, Mm, 1, correct):
+            for lane, sums in self._pass(B, Mm, 1, correct,
+                                         self._tile_rows(k)):
                 total[lane] += (self._outer_coef(t[lane]) / Mm) * sums
                 del sums
             scratch.release(frame)

@@ -50,7 +50,7 @@ def test_lanes_per_chunk_is_what_estimate_batch_runs(monkeypatch, tmp_path,
 # over its n = M = 1..6 calls, cli_d1000_2w per chunk); its peak RSS moves
 # with them
 PLANNED_STORE = {"point_d100": 207_833, "table_d1": 159_270,
-                 "cli_d1000_2w": 450_032}
+                 "cli_d1000_2w": 321_232}
 
 
 @pytest.mark.parametrize("name", sorted(PLANNED_STORE))

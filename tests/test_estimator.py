@@ -404,8 +404,10 @@ def test_tiny_tiles_change_nothing(monkeypatch, recursion_log, d, data_name,
 
 def _tile_bound(n):
     # bytes one lane may hold at n = M levels, d = 1000: n tiles of points,
-    # one per frame on the deepest path of the recursion (as _Engine._peak
-    # plans them), and a few scalar arrays of M^n doubles
+    # more than the deepest path of the recursion holds (as _Engine._peak
+    # plans it, a tile for a level-1 correction and one for its child, an
+    # M-th of one for each correction from k = 2 on), and a few scalar
+    # arrays of M^n doubles
     return n * estimator._TILE * 8 + 16 * 8 * n**n
 
 
@@ -527,7 +529,7 @@ def test_each_pass_drops_its_sums_before_the_next_tile(monkeypatch):
     original = estimator._Engine._pass
     earlier = []
 
-    def watched(self, lanes, m, sign, sample):
+    def watched(self, lanes, m, sign, sample, rows):
         def checked(*args):
             alive = sum(ref() is not None for ref in earlier)
             assert not alive, f"{alive} earlier arrays still alive"
@@ -535,7 +537,7 @@ def test_each_pass_drops_its_sums_before_the_next_tile(monkeypatch):
             earlier.append(weakref.ref(values))
             return values
 
-        for item in original(self, lanes, m, sign, checked):
+        for item in original(self, lanes, m, sign, checked, rows):
             if isinstance(item[1], np.ndarray):
                 earlier.append(weakref.ref(item[1]))
             yield item
@@ -550,10 +552,15 @@ def test_each_pass_drops_its_sums_before_the_next_tile(monkeypatch):
     assert len(earlier) >= 10
 
 
-@pytest.mark.parametrize("tile", [None, 7])
+@pytest.mark.parametrize("tile", [None, 7, 30 * (1 + estimator._ROW_EXTRA)])
 def test_scratch_holds_exactly_the_largest_live_set(monkeypatch, tile):
     # the store is sized by its plan before the run: a take that does not
-    # fit raises, and no byte of it may go unused at the peak
+    # fit raises, and no byte of it may go unused at the peak.  Values and
+    # tallies are those of the default tile.  At the last tile, 30 rows at
+    # d = 1 and 22 at d = 3, a correction from k = 2 on runs rows // M
+    # pairs a tile: at n = 4, M = 3, K = 5 the top k = 3 pass runs whole
+    # lanes, fewer than its 15 pairs to a tile, and at d = 3 each lane's 9
+    # pairs at k = 2 span two tiles (7 and 2), though they fit one of 22
     runs = []
 
     class Audited(estimator._Scratch):
@@ -567,19 +574,44 @@ def test_scratch_holds_exactly_the_largest_live_set(monkeypatch, tile):
             self.high = max(self.high, self._used)
             return out
 
-    monkeypatch.setattr(estimator, "_Scratch", Audited)
-    if tile is not None:
-        monkeypatch.setattr(estimator, "_TILE", tile)
     for d, n, M, K, nl in itertools.product(
             (1, 3, 100), (1, 2, 4), (1, 3), (1, 5),
             (None, no_skip_allen_cahn())):
         if M**n * d * K > 1e5:
             continue
-        runs.clear()
-        prob = make_problem(dimension=d, horizon=0.5, nonlinearity=nl)
-        estimate_batch(prob, params_for(n, M, seed=1), 0.4, np.zeros(d), K)
+        prob = make_problem(dimension=d, horizon=0.5, nonlinearity=nl,
+                            data=builtin_data("cosine_mean", d, kappa=1.0))
+        x = np.linspace(-0.4, 0.3, d)
+        want = [(r.value, r.tally) for r in estimate_batch(
+            prob, params_for(n, M, seed=1), 0.4, x, K)]
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "_Scratch", Audited)
+            if tile is not None:
+                patch.setattr(estimator, "_TILE", tile)
+            runs.clear()
+            got = [(r.value, r.tally) for r in estimate_batch(
+                prob, params_for(n, M, seed=1), 0.4, x, K)]
+        assert got == want, (d, n, M, K)
         [run] = runs
         assert run.high == run._buf.size, (d, n, M, K)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_plan_of_capped_correction_tiles(n):
+    # d = 1000, n = M, K = 16 (a cli_d1000_2w chunk at n = 4).  On the
+    # deepest path a k >= 2 correction tile holds rows // M pairs, the
+    # level-1 correction and its child a tile each: 2 + (n - 2) / M tiles,
+    # plus three elements per lane of each frame (K on top, at most a
+    # tile's rows below) and one node per frame.  Full tiles at every k
+    # planned 3.43, 4.60 and 5.57 MiB here; the cap plans 2.45, 2.53 and
+    # 2.37 MiB
+    d, K, M = 1000, 16, n
+    rows = estimator._TILE // (d + estimator._ROW_EXTRA)
+    bound = ((2 * M + n - 2) * estimator._TILE // M + 3 * K
+             + 3 * (n - 1) * rows + n * max(rows, estimator._PAIRWISE_BLOCK))
+    prob = make_problem(dimension=d, horizon=0.5)
+    plan = estimator._Engine(prob, params_for(n, M))._peak(n, K, {})
+    assert plan <= bound, (plan, bound)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])
