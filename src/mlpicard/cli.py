@@ -3,9 +3,11 @@
 Configuration lives in an INI-style file ("key = value" lines under
 [section] headers, '#' comments, UTF-8); runs with dozens of parameters
 do not fit on a command line.  CONFIG_KEYS declares each key once (section,
-RunConfig field, default, parser, help comment); the RunConfig defaults
-and the grammar text CONFIG_GRAMMAR, printed by `mlpicard --help-config`,
-are derived from it.  Unknown sections or keys are rejected.
+key, which is also its RunConfig field, default, parser, help comment), and
+_COMMANDS the keys each command reads; the RunConfig defaults and the
+grammar that `mlpicard --help-config` prints are derived from them.
+Unknown sections or keys are rejected, and so is a key that the command
+does not read.
 
 Exit codes (fixed contract for scripting):
     0   success
@@ -78,13 +80,12 @@ _parse_branching = _parser(
 
 @dataclass(frozen=True)
 class ConfigKey:
-    """One config key: its section, RunConfig field, default and grammar line.
+    """One config key: its section, default and grammar line.
 
-    ``default`` is the text the grammar shows; empty means unset (None),
-    otherwise the default value is ``parse`` applied to it.  ``parse`` is a
-    parser taking (raw, key) or a tuple of allowed words, which then also
-    open the help comment.  The RunConfig field is ``attr``, or ``key`` when
-    unset.
+    ``key`` is also the RunConfig field.  ``default`` is the text the
+    grammar shows; empty means unset (None), otherwise the default value is
+    ``parse`` applied to it.  ``parse`` is a parser taking (raw, key) or a
+    tuple of allowed words, which then also open the help comment.
     """
 
     section: str
@@ -92,11 +93,6 @@ class ConfigKey:
     default: str
     parse: object
     comment: str = ""
-    attr: str = ""
-
-    @property
-    def field_name(self) -> str:
-        return self.attr or self.key
 
     def parse_value(self, raw: str):
         where = f"[{self.section}] {self.key}"
@@ -112,9 +108,9 @@ class ConfigKey:
         comment = self.comment
         if isinstance(self.parse, tuple):
             comment = " ".join(filter(None, (" | ".join(self.parse), comment)))
-        if not comment:
-            return f"{self.key:<13}= {self.default}"
-        return f"{self.key:<13}= {self.default:<13}# {comment}"
+        comment = "; ".join(filter(None, (comment,
+                                          f"read by {_readers(self.key)}")))
+        return f"{self.key:<13}= {self.default:<12} # {comment}"
 
 
 _ORIENTATIONS = tuple(o.value for o in Orientation)
@@ -123,13 +119,13 @@ _BOUNDARIES = tuple(b.value for b in oracles.Boundary)
 
 def _builtin_parameter(kind, key, what):
     # a [problem] parameter of the builtins of kind; its help names those
-    # that read it, with their defaults, from the problem module's registry
+    # that take it, with their defaults, from the problem module's registry
     readers = " | ".join(
         name if default is None else f"{name} (default {default!r})"
         for name, (param, default) in
         problem_mod.builtin_parameters(kind).items() if param == key)
     return ConfigKey("problem", key, "", _parse_float,
-                     f"{what}; read by {readers}")
+                     f"{what} of {readers}")
 
 
 CONFIG_KEYS = (
@@ -144,29 +140,27 @@ CONFIG_KEYS = (
     _builtin_parameter("data", "value", "datum value"),
     _builtin_parameter("data", "kappa", "datum amplitude"),
     ConfigKey("estimator", "levels", "1", _parse_int, "n >= 0"),
-    ConfigKey("estimator", "n_list", "0,1,2,3,4", _parse_int_list,
-              "converge only"),
+    ConfigKey("estimator", "n_list", "0,1,2,3,4", _parse_int_list),
     ConfigKey("estimator", "branching", "diagonal", _parse_branching,
               "diagonal (M = n) | integer >= 1"),
     ConfigKey("estimator", "radius", "", _parse_float,
-              "estimate and converge; default rho_min(problem)"),
+              "default rho_min(problem)"),
     ConfigKey("estimator", "repetitions", "1", _parse_int, "K >= 1"),
     ConfigKey("estimator", "seed", "0", _parse_int),
     ConfigKey("evaluation", "t", "", _parse_float, "default: horizon"),
     ConfigKey("evaluation", "x", "0", _parse_float_list,
               "scalar (broadcast) or comma list of length d"),
-    ConfigKey("experiment", "d_list", "1,10,100", _parse_int_list,
-              "scale and sweep"),
-    ConfigKey("experiment", "n", "3", _parse_int, "scale: fixed n = M"),
+    ConfigKey("experiment", "d_list", "1,10,100", _parse_int_list),
+    ConfigKey("experiment", "n", "3", _parse_int, "fixed n = M"),
     ConfigKey("experiment", "epsilon_list",
               "0.5,0.25,0.125,0.0625,0.03125,0.015625", _parse_float_list),
     ConfigKey("experiment", "delta", "1.0", _parse_float,
-              "sweep exponent offset, > 0"),
+              "exponent offset, > 0"),
     ConfigKey("experiment", "n_max", "64", _parse_int,
               "level-selection cap"),
     ConfigKey("experiment", "constants", "problem",
               ("problem", "surrogate"), "(kappa=1, f0=0, T=1, L=0)"),
-    ConfigKey("oracle", "kind", "ode", ("ode", "fd"), attr="oracle_kind"),
+    ConfigKey("oracle", "kind", "ode", ("ode", "fd")),
     ConfigKey("oracle", "u0", "", _parse_float,
               "ode initial value; default: constant datum"),
     ConfigKey("oracle", "h", "", _parse_float, "ode step; default horizon/1000"),
@@ -183,6 +177,12 @@ _SCHEMA = {(k.section, k.key): k for k in CONFIG_KEYS}
 _SECTIONS = sorted({k.section for k in CONFIG_KEYS})
 
 
+def _readers(key: str) -> str:
+    # the commands whose _COMMANDS entry declares that they read key
+    return ", ".join(name for name, (_, _, keys, _) in _COMMANDS.items()
+                     if key in keys.split())
+
+
 def _grammar() -> str:
     lines = ["Configuration file grammar (INI style, '#' comments, "
              "all keys optional):"]
@@ -195,11 +195,9 @@ def _grammar() -> str:
     return "\n".join(lines) + "\n"
 
 
-CONFIG_GRAMMAR = _grammar()
-
 RunConfig = dataclasses.make_dataclass(
     "RunConfig",
-    [(k.field_name, Any, dataclasses.field(default=k.default_value))
+    [(k.key, Any, dataclasses.field(default=k.default_value))
      for k in CONFIG_KEYS],
     frozen=True,
 )
@@ -207,8 +205,9 @@ RunConfig.__module__ = __name__
 RunConfig.__doc__ = "Typed view of a configuration file; one field per CONFIG_KEYS row."
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse config text; unknown sections or keys raise ConfigError."""
+def parse_config(text: str, command: str) -> RunConfig:
+    """Parse config text for command; unknown sections or keys, and keys
+    that command does not read, raise ConfigError."""
     parser = configparser.ConfigParser(
         interpolation=None, delimiters=("=",), comment_prefixes=("#",)
     )
@@ -230,16 +229,19 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     f"unknown key {key!r} in [{section}]; known: {known}"
                 ) from None
-            updates[spec.field_name] = spec.parse_value(raw)
-    return dataclasses.replace(RunConfig(), **updates)
+            if key not in _COMMANDS[command][2].split():
+                raise ConfigError(f"{command} does not read [{section}] {key}"
+                                  f" (read by {_readers(key)})")
+            updates[key] = spec.parse_value(raw)
+    return RunConfig(**updates)
 
 
-def load_config(path: Optional[str]) -> RunConfig:
+def load_config(path: Optional[str], command: str) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
+            return parse_config(fh.read(), command)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
 
@@ -360,10 +362,9 @@ def cmd_converge(config: RunConfig, out: Optional[str], threads: int) -> int:
 
 
 def cmd_scale(config: RunConfig, out: Optional[str], threads: int) -> int:
-    t, _ = resolve_point(config, build_problem(config))
     result = experiments.dimension_scaling(
         lambda d: build_problem(dataclasses.replace(config, dimension=d)),
-        config.d_list, n=config.n, t=t,
+        config.d_list, n=config.n, t=config.t,
         K=config.repetitions, seed=config.seed, worker_count=threads,
     )
     path = out or "scaling.csv"
@@ -404,7 +405,7 @@ CURVE_HEADER = ("t", "x", "value")
 def cmd_oracle(config: RunConfig, out: Optional[str]) -> int:
     prob = build_problem(config)
     path = out or "oracle.csv"
-    if config.oracle_kind == "ode":
+    if config.kind == "ode":
         ode = _ode_oracle(config, prob)
         times = config.times
         if times is None:
@@ -418,7 +419,7 @@ def cmd_oracle(config: RunConfig, out: Optional[str]) -> int:
         half_width=config.half_width, grid_points=config.grid_points,
         dt=config.dt, boundary=config.boundary,
     )
-    t, _ = resolve_point(config, prob)
+    t = prob.horizon if config.t is None else config.t
     sol = oracles.fd_solve_1d(prob, fd, t)
     rows = [(repr(t), repr(float(xi)), repr(float(vi)))
             for xi, vi in zip(sol.x, sol.values)]
@@ -496,21 +497,36 @@ _FLAGS = {
     "out": dict(help="output CSV path"),
 }
 
-# name: (handler, the dests of the flags it reads, help line), in the order
-# --help lists them; argparse refuses any other flag
+# the [problem] keys that build_problem reads, but dimension, which scale
+# takes from [experiment] d_list instead
+_PROBLEM = "horizon orientation nonlinearity a data value kappa"
+
+# name: (handler, the dests of the flags it reads, the config keys it can
+# read, help line), in the order --help lists them; argparse refuses any
+# other flag and parse_config any other key
 _COMMANDS = {
     "estimate": (cmd_estimate, "config seed threads",
+                 f"dimension {_PROBLEM} levels branching radius repetitions "
+                 "seed t x",
                  "run the estimator at one point, print mean and SE"),
     "converge": (cmd_converge, "config seed threads out",
+                 f"dimension {_PROBLEM} n_list radius repetitions seed t x "
+                 "u0 h",
                  "RMSE-vs-oracle table over levels -> convergence.csv"),
     "scale": (cmd_scale, "config seed threads out",
+              f"{_PROBLEM} repetitions seed t d_list n",
               "draw counts across dimensions -> scaling.csv"),
     "sweep": (cmd_sweep, "config out",
+              f"dimension {_PROBLEM} d_list epsilon_list delta n_max "
+              "constants",
               "levels and model cost over accuracies -> sweep.csv"),
     "oracle": (cmd_oracle, "config out",
+               f"dimension {_PROBLEM} t kind u0 h times half_width "
+               "grid_points dt boundary",
                "reference curve (ode or fd) -> oracle.csv"),
-    "cost": (cmd_cost, "out", "cost model vs closed-form bound table -> cost.csv"),
-    "selftest": (cmd_selftest, "", "golden RNG values and basic invariants"),
+    "cost": (cmd_cost, "out", "",
+             "cost model vs closed-form bound table -> cost.csv"),
+    "selftest": (cmd_selftest, "", "", "golden RNG values and basic invariants"),
 }
 
 
@@ -523,7 +539,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--help-config", action="store_true",
                         help="print the configuration file grammar and exit")
     sub = parser.add_subparsers(dest="command")
-    for name, (_, flags, help_text) in _COMMANDS.items():
+    for name, (_, flags, _, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         for dest in flags.split():
             cmd.add_argument(f"--{dest}", **_FLAGS[dest])
@@ -534,7 +550,7 @@ def main(argv=None) -> int:
     parser = build_arg_parser()
     args = vars(parser.parse_args(argv))
     if args.pop("help_config"):
-        print(CONFIG_GRAMMAR, end="")
+        print(_grammar(), end="")
         return 0
     command = args.pop("command")
     if command is None:
@@ -545,7 +561,7 @@ def main(argv=None) -> int:
         # --config and --seed give it one RunConfig
         seed = args.pop("seed", None)
         if "config" in args:
-            args["config"] = load_config(args["config"])
+            args["config"] = load_config(args["config"], command)
             if seed is not None:
                 args["config"] = dataclasses.replace(args["config"], seed=seed)
         if args.get("threads", 1) < 1:

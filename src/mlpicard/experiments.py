@@ -36,8 +36,9 @@ from .problem import PdeProblem
 
 
 def _run_checked(problem, n, r, t, x, K, seed, worker_count):
-    # K diagonal (M = n) realizations, timed; measured draws <=
-    # cost_recursion <= cost_bound is re-verified before any row is built
+    # K diagonal (M = n) realizations, timed, and the M they ran at;
+    # measured draws <= cost_recursion <= cost_bound is re-verified before
+    # any row is built
     M, d = max(n, 1), problem.dimension
     params = MlpParams(levels=n, branching=M, truncation_radius=r, seed=seed)
     start = time.perf_counter()
@@ -54,7 +55,7 @@ def _run_checked(problem, n, r, t, x, K, seed, worker_count):
         raise AssertionError(
             f"cost model {model} exceeds closed-form bound at n={n}"
         )
-    return results, wall, model
+    return results, wall, model, M
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,8 @@ def rmse_vs_oracle(
     r = rho_min(problem) if radius_override is None else radius_override
     rows = []
     for n in n_list:
-        M = max(n, 1)
-        results, wall, model = _run_checked(problem, n, r, t, x, K, seed,
-                                            worker_count)
+        results, wall, model, M = _run_checked(problem, n, r, t, x, K, seed,
+                                               worker_count)
         values = np.array([res.value for res in results])
         rows.append(
             ConvergenceRow(
@@ -163,7 +163,7 @@ def dimension_scaling(
     rows = []
     for d in d_list:
         problem = problem_template(d)
-        results, wall, model = _run_checked(
+        results, wall, model, _ = _run_checked(
             problem, n, rho_min(problem),
             problem.horizon if t is None else t, np.zeros(d), K, seed,
             worker_count,

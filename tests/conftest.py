@@ -11,12 +11,13 @@ which reads no digest, time or point, so it is called without a digest
 and no layout entry names it.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
-from mlpicard import estimator
+from mlpicard import cli, estimator
 from mlpicard.randomness import path_digest
 
 
@@ -90,3 +91,39 @@ def recursion_log(monkeypatch):
     monkeypatch.setattr(estimator._Engine, "_evaluate", logged_evaluate)
     monkeypatch.setattr(estimator, "eval_truncated_f", logged_truncated)
     return log
+
+
+@pytest.fixture
+def config_reads(monkeypatch):
+    """The set of RunConfig fields that code reads while the test runs.
+
+    A read inside ``dataclasses.replace`` only copies the field, so it does
+    not count, and neither does a read of a field that ``replace`` set: its
+    value is the caller's, not the config file's.
+    """
+    reads = set()
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    replacing = []
+    get = object.__getattribute__
+    replace = dataclasses.replace
+
+    def getattribute(self, name):
+        if (not replacing and name in fields
+                and name not in get(self, "__dict__").get("_replaced", ())):
+            reads.add(name)
+        return get(self, name)
+
+    def recording_replace(obj, /, **changes):
+        replacing.append(obj)
+        try:
+            new = replace(obj, **changes)
+        finally:
+            replacing.pop()
+        if isinstance(new, cli.RunConfig):
+            object.__setattr__(new, "_replaced", set(changes).union(
+                get(obj, "__dict__").get("_replaced", ())))
+        return new
+
+    monkeypatch.setattr(cli.RunConfig, "__getattribute__", getattribute)
+    monkeypatch.setattr(dataclasses, "replace", recording_replace)
+    return reads

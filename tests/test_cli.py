@@ -2,11 +2,13 @@
 
 import argparse
 import dataclasses
+import os
 
 import pytest
 
-from mlpicard import bounds
+from mlpicard import bounds, cli
 from mlpicard.cli import (
+    CONFIG_KEYS,
     ConfigError,
     RunConfig,
     build_arg_parser,
@@ -39,37 +41,33 @@ def strip_wall(text: str) -> list:
 
 
 def test_config_parses_defaults_and_modified_values():
-    assert parse_config("") == RunConfig()
-    text = """\
+    assert parse_config("", "estimate") == RunConfig()
+    problem = """\
 [problem]
 dimension = 10
 a = -0.25
 data = cosine_mean
 kappa = 1.5
-
-[estimator]
-n_list = 0,1,2
-radius = 3.5
-
-[oracle]
-kind = fd
-times = 0.0,0.5
 """
-    assert parse_config(text) == dataclasses.replace(
-        RunConfig(), dimension=10, radius=3.5, n_list=(0, 1, 2), a=-0.25,
-        oracle_kind="fd", times=(0.0, 0.5), kappa=1.5, data="cosine_mean")
+    changed = dict(dimension=10, a=-0.25, kappa=1.5, data="cosine_mean")
+    converge = problem + "[estimator]\nn_list = 0,1,2\nradius = 3.5\n"
+    assert parse_config(converge, "converge") == dataclasses.replace(
+        RunConfig(), radius=3.5, n_list=(0, 1, 2), **changed)
+    oracle = problem + "[oracle]\nkind = fd\ntimes = 0.0,0.5\n"
+    assert parse_config(oracle, "oracle") == dataclasses.replace(
+        RunConfig(), kind="fd", times=(0.0, 0.5), **changed)
 
 
 def test_config_rejects_unknown_key_and_section():
     with pytest.raises(ConfigError):
-        parse_config("[problem]\nwibble = 3\n")
+        parse_config("[problem]\nwibble = 3\n", "estimate")
     with pytest.raises(ConfigError):
-        parse_config("[wibble]\nx = 3\n")
+        parse_config("[wibble]\nx = 3\n", "estimate")
     # rho_min is the one radius rule; the truncation schedule key is gone
     with pytest.raises(ConfigError, match="unknown key 'schedule'"):
-        parse_config("[estimator]\nschedule = default\n")
+        parse_config("[estimator]\nschedule = default\n", "estimate")
     with pytest.raises(ConfigError):
-        parse_config("[problem]\ndimension = banana\n")
+        parse_config("[problem]\ndimension = banana\n", "estimate")
 
 
 @pytest.mark.parametrize("section, key, raw, message", [
@@ -88,9 +86,9 @@ def test_config_rejects_unknown_key_and_section():
 def test_config_parse_errors_name_the_key_and_the_value(section, key, raw,
                                                          message):
     # one bad value per parser: integer, number, integer list, number list
-    # and choice
+    # and choice; converge reads each of these keys
     with pytest.raises(ConfigError) as err:
-        parse_config(f"[{section}]\n{key} = {raw}\n")
+        parse_config(f"[{section}]\n{key} = {raw}\n", "converge")
     assert str(err.value) == message
 
 
@@ -156,48 +154,108 @@ def test_a_flag_the_command_does_not_read_exits_2(capsys, command, flag):
     assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
+# each config-reading command: the keys it declares that it reads
+READS = {name: set(keys.split()) for name, (_, _, keys, _)
+         in cli._COMMANDS.items() if keys}
+SECTION = {spec.key: spec.section for spec in CONFIG_KEYS}
+
+
+def test_each_command_declares_the_config_keys_it_reads():
+    # 73 of the 150 (command, key) slots
+    assert list(READS) == ["estimate", "converge", "scale", "sweep", "oracle"]
+    assert len(CONFIG_KEYS) == 30
+    assert sum(map(len, READS.values())) == 73
+
+
+# (command, config, exit code): the default config of each command, and the
+# other branch of the handlers that branch on a key
+READ_RUNS = [
+    ("estimate", "", 0), ("converge", "", 0), ("scale", "", 0),
+    # the default problem's bound rises at n_max, after every key is read
+    ("sweep", "", 4),
+    ("sweep", "[experiment]\nconstants = surrogate\n", 0),
+    ("oracle", "", 0), ("oracle", "[oracle]\nkind = fd\n", 0),
+]
+
+
+def test_each_command_reads_exactly_the_config_keys_it_declares(
+        tmp_path, monkeypatch, capsys, config_reads):
+    # the config-key twin of the unread-parameter guard: a handler that
+    # reads a key it does not declare fails here, and so does a declared key
+    # that no run reads (the demo configs are checked in test_demos.py)
+    monkeypatch.chdir(tmp_path)
+    reads = {}
+    for command, text, code in READ_RUNS:
+        (tmp_path / "run.ini").write_text(text, encoding="utf-8")
+        config_reads.clear()
+        assert main([command, "--config", "run.ini"]) == code, command
+        assert config_reads <= READS[command], (
+            command, config_reads - READS[command])
+        reads.setdefault(command, set()).update(config_reads)
+    assert reads == READS
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, spec.key) for command in READS for spec in CONFIG_KEYS
+    if spec.key not in READS[command]])
+def test_a_config_key_the_command_does_not_read_exits_2(
+        tmp_path, monkeypatch, capsys, command, key):
+    # refused whatever its value, before any run or file is written: for
+    # example converge with [estimator] branching, which it used to drop
+    # and run the diagonal
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text(f"[{SECTION[key]}]\n{key} = 3\n",
+                                      encoding="utf-8")
+    code, out, err = run(capsys, command, "--config", "run.ini")
+    assert code == 2
+    assert (f"mlpicard: config error: {command} does not read "
+            f"[{SECTION[key]}] {key} (read by ") in err
+    assert out == "" and os.listdir(tmp_path) == ["run.ini"]
+
+
 HELP_CONFIG = """\
 Configuration file grammar (INI style, '#' comments, all keys optional):
 
 [problem]
-dimension    = 1            # integer >= 1
-horizon      = 0.5          # T > 0
-orientation  = forward      # forward | backward
-nonlinearity = allen_cahn   # allen_cahn | linear | sine
-a            =              # coefficient; read by linear
-data         = constant     # constant | cosine_mean | gaussian_bump
-value        =              # datum value; read by constant (default 2.0)
-kappa        =              # datum amplitude; read by cosine_mean | gaussian_bump
+dimension    = 1            # integer >= 1; read by estimate, converge, sweep, oracle
+horizon      = 0.5          # T > 0; read by estimate, converge, scale, sweep, oracle
+orientation  = forward      # forward | backward; read by estimate, converge, scale, sweep, oracle
+nonlinearity = allen_cahn   # allen_cahn | linear | sine; read by estimate, converge, scale, sweep, oracle
+a            =              # coefficient of linear; read by estimate, converge, scale, sweep, oracle
+data         = constant     # constant | cosine_mean | gaussian_bump; read by estimate, converge, scale, sweep, oracle
+value        =              # datum value of constant (default 2.0); read by estimate, converge, scale, sweep, oracle
+kappa        =              # datum amplitude of cosine_mean | gaussian_bump; read by estimate, converge, scale, sweep, oracle
 
 [estimator]
-levels       = 1            # n >= 0
-n_list       = 0,1,2,3,4    # converge only
-branching    = diagonal     # diagonal (M = n) | integer >= 1
-radius       =              # estimate and converge; default rho_min(problem)
-repetitions  = 1            # K >= 1
-seed         = 0
+levels       = 1            # n >= 0; read by estimate
+n_list       = 0,1,2,3,4    # read by converge
+branching    = diagonal     # diagonal (M = n) | integer >= 1; read by estimate
+radius       =              # default rho_min(problem); read by estimate, converge
+repetitions  = 1            # K >= 1; read by estimate, converge, scale
+seed         = 0            # read by estimate, converge, scale
 
 [evaluation]
-t            =              # default: horizon
-x            = 0            # scalar (broadcast) or comma list of length d
+t            =              # default: horizon; read by estimate, converge, scale, oracle
+x            = 0            # scalar (broadcast) or comma list of length d; read by estimate, converge
 
 [experiment]
-d_list       = 1,10,100     # scale and sweep
-n            = 3            # scale: fixed n = M
-epsilon_list = 0.5,0.25,0.125,0.0625,0.03125,0.015625
-delta        = 1.0          # sweep exponent offset, > 0
-n_max        = 64           # level-selection cap
-constants    = problem      # problem | surrogate (kappa=1, f0=0, T=1, L=0)
+d_list       = 1,10,100     # read by scale, sweep
+n            = 3            # fixed n = M; read by scale
+epsilon_list = 0.5,0.25,0.125,0.0625,0.03125,0.015625 # read by sweep
+delta        = 1.0          # exponent offset, > 0; read by sweep
+n_max        = 64           # level-selection cap; read by sweep
+constants    = problem      # problem | surrogate (kappa=1, f0=0, T=1, L=0); read by sweep
 
 [oracle]
-kind         = ode          # ode | fd
-u0           =              # ode initial value; default: constant datum
-h            =              # ode step; default horizon/1000
-times        =              # ode output ladder; default 5 evenly spaced
-half_width   = 6.0          # fd domain is [-half_width, half_width]
-grid_points  = 201
-dt           = 0.0001
-boundary     = neumann      # neumann | periodic
+kind         = ode          # ode | fd; read by oracle
+u0           =              # ode initial value; default: constant datum; read by converge, oracle
+h            =              # ode step; default horizon/1000; read by converge, oracle
+times        =              # ode output ladder; default 5 evenly spaced; read by oracle
+half_width   = 6.0          # fd domain is [-half_width, half_width]; read by oracle
+grid_points  = 201          # read by oracle
+dt           = 0.0001       # read by oracle
+boundary     = neumann      # neumann | periodic; read by oracle
 """
 
 
@@ -356,9 +414,8 @@ def test_levels_past_int64_sample_indices_exit_2(tmp_path, capsys):
     ("estimate", "foo"), ("sweep", "foo"), ("estimate", "0"),
 ])
 def test_bad_branching_exits_2(tmp_path, capsys, command, raw):
-    # branching is parsed with the config, so a command that reads a config
-    # but not branching refuses a word other than diagonal too; M < 1 is
-    # refused before any run
+    # branching is parsed with the config, and sweep, which does not read
+    # it, refuses it whatever its value; M < 1 is refused before any run
     cfg = tmp_path / "branching.ini"
     cfg.write_text(f"[estimator]\nbranching = {raw}\n", encoding="utf-8")
     out_path = tmp_path / "out.csv"

@@ -1,6 +1,9 @@
 """Every demo runs to completion from a clean working directory: each script
-as a program, each config through the command its first line names."""
+as a program, each config through the command its first line names, which
+reads no config key that it does not declare; any other command refuses the
+config."""
 
+import configparser
 import os
 import pathlib
 import subprocess
@@ -29,14 +32,43 @@ def test_demo_runs(script, tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=[p.name for p in CONFIGS])
-def test_demo_config_runs(config, tmp_path, monkeypatch):
+def run_command(config):
     # the first line is the run line, and it names this very file
     run_line = config.read_text(encoding="utf-8").splitlines()[0].split()
     assert (run_line[:2] == ["#", "mlpicard"]
             and run_line[3:] == ["--config", f"demos/{config.name}"]), run_line
-    command = run_line[2]
+    return run_line[2]
+
+
+def declared_keys(command):
+    return set(cli._COMMANDS[command][2].split())
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_demo_config_runs(config, tmp_path, monkeypatch, config_reads):
+    command = run_command(config)
     monkeypatch.chdir(tmp_path)
     assert cli.main([command, "--config", str(config)]) == 0
     written = [DEFAULT_CSV[command]] if command in DEFAULT_CSV else []
     assert sorted(os.listdir(tmp_path)) == written
+    assert config_reads <= declared_keys(command), (
+        config_reads - declared_keys(command))
+
+
+@pytest.mark.parametrize("config, command", [
+    (config, command) for config in CONFIGS for command in cli._COMMANDS
+    if declared_keys(command) and command != run_command(config)],
+    ids=lambda value: getattr(value, "name", value))
+def test_demo_config_under_another_command_exits_2(config, command, tmp_path,
+                                                  monkeypatch, capsys):
+    # the config sets a key that command does not read: the run is refused,
+    # before it writes anything, naming the first such key in the file
+    parser = configparser.ConfigParser()
+    parser.read(config, encoding="utf-8")
+    unread = [f"[{section}] {key}" for section in parser.sections()
+              for key in parser[section] if key not in declared_keys(command)]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert f"{command} does not read {unread[0]} (read by " in captured.err
+    assert captured.out == "" and os.listdir(tmp_path) == []

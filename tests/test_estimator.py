@@ -403,12 +403,12 @@ def test_tiny_tiles_change_nothing(monkeypatch, recursion_log, d, data_name,
 
 
 def _tile_bound(n):
-    # bytes one lane may hold at n = M levels, d = 1000: n tiles of points,
-    # more than the deepest path of the recursion holds (as _Engine._peak
-    # plans it, a tile for a level-1 correction and one for its child, an
-    # M-th of one for each correction from k = 2 on), and a few scalar
-    # arrays of M^n doubles
-    return n * estimator._TILE * 8 + 16 * 8 * n**n
+    # bytes one lane may hold at n = M levels, d = 1000: the tiles on the
+    # deepest path of the recursion, as _Engine._peak plans it (a tile for
+    # a level-1 correction and one for its child, an M-th of one for each
+    # correction from k = 2 on), and one tile more for what the plan does
+    # not hold: the kernels' block scratch and per-row temporaries
+    return (2 + (n - 2) / n + 1) * estimator._TILE * 8
 
 
 def _traced_peak(run):
@@ -423,9 +423,9 @@ def _traced_peak(run):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_peak_memory_is_bounded_by_tiles(n):
-    # one lane at d = 1000: the points live in at most n tiles; what grows
-    # with M^n is only a few scalar arrays.  Unbounded, the level-0 array
-    # alone is M^n * d doubles (25 MB at n = M = 5)
+    # one lane at d = 1000: the points live in at most 2 + (n - 2)/M tiles,
+    # and nothing grows with M^n.  Unbounded, the level-0 array alone is
+    # M^n * d doubles (25 MB at n = M = 5)
     d = 1000
     prob = make_problem(dimension=d, horizon=0.05)
     params = params_for(n, n, r=3.0, seed=1)
