@@ -305,7 +305,7 @@ def _ode_oracle(config: RunConfig, prob: PdeProblem) -> oracles.OdeOracle:
             "this command needs a constant datum (or explicit [oracle] u0)"
         )
     return oracles.OdeOracle(f=_scalar_ode_f(prob), u0=float(u0),
-                             horizon=prob.horizon, h=config.h or 0.0)
+                             horizon=prob.horizon, h=config.h)
 
 
 # subcommands ---------------------------------------------------------------
@@ -313,27 +313,22 @@ def _ode_oracle(config: RunConfig, prob: PdeProblem) -> oracles.OdeOracle:
 
 def cmd_estimate(config: RunConfig, threads: int) -> int:
     prob = build_problem(config)
-    M = max(config.levels, 1) if config.branching is None else config.branching
-    r = bounds.rho_min(prob) if config.radius is None else config.radius
-    params = MlpParams(levels=config.levels, branching=M,
-                       truncation_radius=r, seed=config.seed)
     t, x = resolve_point(config, prob)
     K = config.repetitions
-    results = estimate_batch(prob, params, t, x, K, worker_count=threads)
-    values = np.array([res.value for res in results])
+    values, tally, _, model, params = experiments.run_checked(
+        prob, config.levels, t, x, K, config.seed, threads,
+        branching=config.branching, radius=config.radius)
     mean = float(values.mean())
     if not math.isfinite(mean):
         raise ArithmeticError(f"the estimate is not finite: mean {mean!r}")
     se = float(values.std(ddof=1) / math.sqrt(K)) if K > 1 else float("nan")
-    tally = results[0].tally
-    model = bounds.cost_recursion(prob.dimension, config.levels, M)
     print(f"value_mean = {mean!r}")
     print(f"value_se = {se!r}")
     print(f"repetitions = {K}")
-    print(f"levels = {config.levels}")
-    print(f"branching = {M}")
-    print(f"radius = {r!r}")
-    print(f"seed = {config.seed}")
+    print(f"levels = {params.levels}")
+    print(f"branching = {params.branching}")
+    print(f"radius = {params.truncation_radius!r}")
+    print(f"seed = {params.seed}")
     print(f"draws = {tally.total_draws}")
     print(f"cost_model = {model}")
     return 0
@@ -352,7 +347,7 @@ def cmd_converge(config: RunConfig, out: Optional[str], threads: int) -> int:
     K = 2 if config.repetitions == 1 else config.repetitions
     rows = experiments.rmse_vs_oracle(
         prob, oracle_value, t, x, config.n_list, K=K, seed=config.seed,
-        worker_count=threads, radius_override=config.radius,
+        worker_count=threads, radius=config.radius,
     )
     path = out or "convergence.csv"
     experiments.write_rows(path, experiments.ConvergenceRow, rows)

@@ -35,27 +35,34 @@ from .estimator import MlpParams, estimate_batch
 from .problem import PdeProblem
 
 
-def _run_checked(problem, n, r, t, x, K, seed, worker_count):
-    # K diagonal (M = n) realizations, timed, and the M they ran at;
-    # measured draws <= cost_recursion <= cost_bound is re-verified before
-    # any row is built
-    M, d = max(n, 1), problem.dimension
+def run_checked(problem, n, t, x, K, seed, worker_count, branching=None,
+                radius=None):
+    """K realizations at level n, timed and checked.
+
+    ``branching`` None is the diagonal M = max(n, 1) and ``radius`` None is
+    ``rho_min(problem)``.  Measured draws <= cost_recursion <= cost_bound
+    is re-verified before anything is returned.  Returns the K values as
+    one array, the tally of one realization, the wall time, the cost model
+    and the MlpParams run.
+    """
+    M = max(n, 1) if branching is None else branching
+    r = rho_min(problem) if radius is None else radius
     params = MlpParams(levels=n, branching=M, truncation_radius=r, seed=seed)
     start = time.perf_counter()
     results = estimate_batch(problem, params, t, x, K, worker_count)
     wall = time.perf_counter() - start
-    draws = results[0].tally.total_draws
+    d, tally = problem.dimension, results[0].tally
     model = cost_recursion(d, n, M)
-    if draws > model:
+    if tally.total_draws > model:
         raise AssertionError(
-            f"measured draws {draws} exceed cost model {model} "
+            f"measured draws {tally.total_draws} exceed cost model {model} "
             f"at n={n}, M={M}, d={d}"
         )
     if n >= 1 and model > cost_bound(d, n, M):
         raise AssertionError(
             f"cost model {model} exceeds closed-form bound at n={n}"
         )
-    return results, wall, model, M
+    return np.array([res.value for res in results]), tally, wall, model, params
 
 
 @dataclass(frozen=True)
@@ -80,22 +87,21 @@ def rmse_vs_oracle(
     K: int = 1000,
     seed: int = 0,
     worker_count: int = 1,
-    radius_override: Optional[float] = None,
+    radius: Optional[float] = None,
 ) -> list[ConvergenceRow]:
     """Diagonal (M = n) RMSE table against a fixed oracle value.
 
-    The radius is ``radius_override`` or else ``rho_min(problem)``.  Every
-    row re-verifies measured draws <= cost_recursion <= cost_bound.
+    The radius is ``radius`` or else ``rho_min(problem)``.  Every row
+    re-verifies measured draws <= cost_recursion <= cost_bound.
     """
     if K < 2:
         raise ValueError(f"K must be >= 2 for a standard error, got {K}")
     consts = BoundConstants.from_problem(problem)
-    r = rho_min(problem) if radius_override is None else radius_override
     rows = []
     for n in n_list:
-        results, wall, model, M = _run_checked(problem, n, r, t, x, K, seed,
-                                               worker_count)
-        values = np.array([res.value for res in results])
+        values, tally, wall, model, params = run_checked(
+            problem, n, t, x, K, seed, worker_count, radius=radius)
+        r = params.truncation_radius
         rows.append(
             ConvergenceRow(
                 n=n,
@@ -103,8 +109,8 @@ def rmse_vs_oracle(
                 repetitions=K,
                 rmse=float(np.sqrt(np.mean((values - oracle_value) ** 2))),
                 se_mean=float(values.std(ddof=1) / math.sqrt(K)),
-                error_bound=error_bound(consts, n, M, r),
-                gaussians_measured=results[0].tally.gaussian_scalars,
+                error_bound=error_bound(consts, n, params.branching, r),
+                gaussians_measured=tally.gaussian_scalars,
                 cost_model=model,
                 wall_time_s=wall,
             )
@@ -163,12 +169,9 @@ def dimension_scaling(
     rows = []
     for d in d_list:
         problem = problem_template(d)
-        results, wall, model, _ = _run_checked(
-            problem, n, rho_min(problem),
-            problem.horizon if t is None else t, np.zeros(d), K, seed,
-            worker_count,
-        )
-        tally = results[0].tally
+        _, tally, wall, model, _ = run_checked(
+            problem, n, problem.horizon if t is None else t, np.zeros(d), K,
+            seed, worker_count)
         rows.append(
             ScalingRow(
                 d=d,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +40,21 @@ from .randomness import absorb_vec, gaussians_vec, path_digest, uniforms_vec
 
 class OracleError(RuntimeError):
     """Numeric failure inside an oracle (blow-up, failed self-check)."""
+
+
+# the most steps one solve may ask for: ceil(t/h) in ode_solve, whose
+# step-doubling pass then takes twice that, and ceil(t/dt) in fd_solve_1d.
+# At the cap either solve runs for about half a minute (J = 201), while the
+# largest solve of a test, demo or the benchmark takes 10^4 steps
+STEP_LIMIT = 1_000_000
+
+
+def _step_count(t: float, step: float, name: str) -> int:
+    # ceil(t / step), refused above STEP_LIMIT before the first step
+    if not t / step <= STEP_LIMIT:
+        raise ValueError(f"t/{name} = {t / step:.3g} steps exceed the "
+                         f"oracles' STEP_LIMIT = {STEP_LIMIT}; raise {name}")
+    return max(1, math.ceil(t / step))
 
 
 def allen_cahn_constant_solution(u0: float, t: float) -> float:
@@ -62,7 +77,7 @@ class OdeOracle:
     f: Callable[[float], float]
     u0: float
     horizon: float
-    h: float = 0.0  # 0 means horizon / 1000
+    h: Optional[float] = None  # None means horizon / 1000
 
     BLOWUP = 1e10
     DOUBLING_TOL = 1e-10
@@ -72,7 +87,7 @@ class OdeOracle:
             raise ValueError(f"u0 must be finite, got {self.u0}")
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        h = self.h if self.h else self.horizon / 1000.0
+        h = self.horizon / 1000.0 if self.h is None else self.h
         if not 0.0 < h <= self.horizon / 100.0:
             raise ValueError(
                 f"step must satisfy 0 < h <= horizon/100, got h={h}"
@@ -101,12 +116,13 @@ def ode_solve(oracle: OdeOracle, t: float) -> float:
 
     Integrates with steps <= h and again with half steps; disagreement
     beyond the tolerance is an error (the step is too coarse for this f).
+    More than STEP_LIMIT steps of h is a ValueError.
     """
     if not 0.0 <= t <= oracle.horizon:
         raise ValueError(f"t must lie in [0, {oracle.horizon}], got {t}")
     if t == 0.0:
         return float(oracle.u0)
-    steps = max(1, math.ceil(t / oracle.h))
+    steps = _step_count(t, oracle.h, "h")
     coarse = oracle._integrate(t, steps)
     fine = oracle._integrate(t, 2 * steps)
     if abs(coarse - fine) >= oracle.DOUBLING_TOL:
@@ -151,12 +167,12 @@ class FdOracle1d:
     def __post_init__(self):
         # a boundary word is converted; an unknown one is a ValueError
         object.__setattr__(self, "boundary", Boundary(self.boundary))
-        if not 0.0 < self.half_width < math.inf:
-            raise ValueError(
-                f"half_width must be finite and > 0, got {self.half_width}"
-            )
         if self.grid_points < 3:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points}")
+        # a finite half_width whose double overflows gives an infinite dx
+        if not (self.half_width > 0.0 and math.isfinite(self.dx)):
+            raise ValueError(f"half_width must be > 0 with a finite grid "
+                             f"step dx, got {self.half_width}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
 
@@ -209,8 +225,9 @@ def fd_solve_1d(problem: PdeProblem, oracle: FdOracle1d, t: float) -> FdSolution
     the eigenvalues of (I - dt Lap) and the inverse FFT.  A Neumann grid
     is solved through its even extension (a DCT-I; Strang, SIAM Review
     41, 1999), so its values agree with a tridiagonal solve to rounding,
-    not bit for bit.  A datum that is not finite on the grid, or a grid so
-    fine that dt/dx^2 is not finite, is a ValueError.
+    not bit for bit.  A datum that is not finite on the grid, a grid so
+    fine that dt/dx^2 is not finite, or more than STEP_LIMIT steps of dt is
+    a ValueError.
     """
     if problem.orientation is not Orientation.FORWARD:
         raise ValueError("fd_solve_1d expects the forward orientation")
@@ -226,7 +243,7 @@ def fd_solve_1d(problem: PdeProblem, oracle: FdOracle1d, t: float) -> FdSolution
     if t == 0.0:
         return FdSolution(0.0, u, oracle)
 
-    steps = max(1, math.ceil(t / oracle.dt))
+    steps = _step_count(t, oracle.dt, "dt")
     dt = t / steps
     dx2 = oracle.dx**2
     alpha = dt / dx2 if dx2 > 0.0 else math.inf

@@ -72,3 +72,21 @@ def test_workload_plans_stay_within_their_store(monkeypatch, tmp_path,
     plans.clear()
     wl.run(0)
     assert plans and max(plans) <= PLANNED_STORE[name], plans
+
+
+def test_tracer_restores_every_attribute_it_patches(monkeypatch):
+    # install reads each package attribute that the traced benchmark
+    # patches, so a refactor that drops one fails here, not only in a
+    # traced benchmark run; no op runs
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._saved)
+    finally:
+        tracer.uninstall()
+        sys.modules.pop("spans", None)
+    assert len(patched) == 17
+    for module, attr, value in patched:
+        assert getattr(module, attr) is value, (module.__name__, attr)

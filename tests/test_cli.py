@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from mlpicard import bounds, cli
+from mlpicard import bounds, cli, experiments
 from mlpicard.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -375,6 +375,10 @@ def test_non_finite_input_exits_2(tmp_path, capsys, text):
     "[oracle]\nkind = fd\nhalf_width = 1e-160\ngrid_points = 3\n",
     "[oracle]\nkind = fd\nhalf_width = 1e-160\n",
     "[oracle]\nkind = fd\nhalf_width = 1e-160\nboundary = periodic\n",
+    "[problem]\ndata = cosine_mean\nkappa = 1.0\n"
+    "[oracle]\nkind = fd\nhalf_width = 1e308\n",
+    "[oracle]\nkind = fd\nhalf_width = 1e308\n",
+    "[problem]\nhorizon = 0.1\n[oracle]\nkind = fd\ndt = 1e-300\n",
 ])
 def test_degenerate_fd_grid_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "grid.ini"
@@ -384,6 +388,22 @@ def test_degenerate_fd_grid_exits_2(tmp_path, capsys, text):
                        "--out", str(out_path))
     assert code == 2
     assert "config error" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[problem]\nhorizon = 0.1\n[oracle]\nkind = ode\nh = 1e-300\n",
+     "STEP_LIMIT"),
+    ("[oracle]\nkind = ode\nh = 0\n", "0 < h"),
+])
+def test_degenerate_ode_step_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "step.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out_path = tmp_path / "ode.csv"
+    code, _, err = run(capsys, "oracle", "--config", str(cfg),
+                       "--out", str(out_path))
+    assert code == 2
+    assert "config error" in err and message in err
     assert not out_path.exists()
 
 
@@ -465,6 +485,21 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "estimate", "--config", str(cfg))
     assert code == 2
     assert "bogus" in err
+
+
+def test_estimate_checks_draws_against_the_cost_model(tmp_path, capsys,
+                                                     monkeypatch):
+    cfg = tmp_path / "cost.ini"
+    cfg.write_text("[problem]\ndimension = 3\n"
+                   "[estimator]\nlevels = 2\nrepetitions = 2\n",
+                   encoding="utf-8")
+    code, out, _ = run(capsys, "estimate", "--config", str(cfg))
+    assert code == 0
+    draws = int(stdout_fields(out)["draws"])
+    monkeypatch.setattr(experiments, "cost_recursion",
+                        lambda d, n, M: draws - 1)
+    with pytest.raises(AssertionError, match="exceed cost model"):
+        main(["estimate", "--config", str(cfg)])
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):

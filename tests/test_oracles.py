@@ -82,12 +82,33 @@ def test_reference_value_at_half():
 def test_ode_step_validation():
     with pytest.raises(ValueError):
         OdeOracle(f=allen_cahn_f, u0=1.0, horizon=1.0, h=0.5)  # > T/100
+    with pytest.raises(ValueError, match="0 < h"):
+        OdeOracle(f=allen_cahn_f, u0=1.0, horizon=1.0, h=0.0)
     with pytest.raises(ValueError):
         OdeOracle(f=allen_cahn_f, u0=1.0, horizon=0.0)
     oracle = OdeOracle(f=allen_cahn_f, u0=2.0, horizon=1.0)
     with pytest.raises(ValueError):
         ode_solve(oracle, 1.5)
     assert ode_solve(oracle, 0.0) == 2.0
+
+
+def test_solves_take_step_limit_steps_and_refuse_one_more(monkeypatch):
+    # the cap is checked before the first step, so a step of 1e-300 is
+    # refused at once, as is one step past the cap
+    monkeypatch.setattr(oracles, "STEP_LIMIT", 100)
+    prob = constant_problem(2.0)
+
+    def solves(steps):
+        ode = OdeOracle(f=allen_cahn_f, u0=1.0, horizon=1.0, h=1.0 / steps)
+        fd = FdOracle1d(half_width=6.0, grid_points=21, dt=0.01 / steps)
+        return (lambda: ode_solve(ode, 1.0),
+                lambda: fd_solve_1d(prob, fd, 0.01))
+
+    for solve in solves(100):
+        solve()
+    for solve in (*solves(101), *solves(1e300)):
+        with pytest.raises(ValueError, match="STEP_LIMIT"):
+            solve()
 
 
 def test_ode_blow_up_detected():
@@ -170,6 +191,11 @@ def test_fd_degenerate_grid_or_datum_is_value_error():
             FdOracle1d(half_width=bad, grid_points=201, dt=1e-4)
         with pytest.raises(ValueError, match="dt"):
             FdOracle1d(half_width=6.0, grid_points=201, dt=bad)
+    for boundary in Boundary:
+        # finite, but 2 * half_width overflows, and so does dx
+        with pytest.raises(ValueError, match="half_width"):
+            FdOracle1d(half_width=1e308, grid_points=201, dt=1e-4,
+                       boundary=boundary)
     prob = constant_problem(2.0)
     for J in (201, 3):
         # dx^2 underflows to 0 (J = 201) or to a subnormal (J = 3)
